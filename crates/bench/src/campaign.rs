@@ -28,6 +28,7 @@ use chiplet_sim::metrics::{geomean, RunHistograms};
 use chiplet_sim::phase::PhaseProfile;
 use chiplet_workloads::{ReuseClass, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Schema tag stamped into `campaign.json`; bump on layout changes so the
 /// report generator can refuse documents it does not understand.
@@ -49,7 +50,7 @@ pub const PROTOCOLS: [ProtocolKind; 3] = [
 ];
 
 /// Which suite a cell belongs to (the summary aggregates them separately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuiteTag {
     /// The 24-application Table II suite.
     Main,
@@ -78,19 +79,28 @@ impl SuiteTag {
 }
 
 /// One enumerated campaign cell: a simulator cell plus its suite tag.
+///
+/// The cell's fingerprint is computed on first use and memoised, so a
+/// spec pays the Debug rendering of its workload once however often its
+/// cache key and row are derived; a clone made after that carries the
+/// value. The memo assumes `cell` and `suite` are not changed after the
+/// first [`CellSpec::fingerprint`]; debug builds check it on every call.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// The (workload, protocol, chiplets) simulator cell.
     pub cell: Cell,
     /// Which suite the cell aggregates under.
     pub suite: SuiteTag,
+    fingerprint: OnceLock<String>,
 }
 
 impl CellSpec {
-    fn new(workload: &Workload, protocol: ProtocolKind, chiplets: usize, suite: SuiteTag) -> Self {
+    /// A campaign cell; its fingerprint is computed lazily, on first use.
+    pub fn new(cell: Cell, suite: SuiteTag) -> Self {
         CellSpec {
-            cell: Cell::new(workload.clone(), protocol, chiplets),
+            cell,
             suite,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -98,7 +108,23 @@ impl CellSpec {
     /// chiplet count, the complete Table 1 `SimConfig` it resolves to,
     /// plus [`SCHEMA`] and [`MODEL_REVISION`]. Two cells share a cache
     /// entry only when every simulation input is identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chiplet count has no Table 1 configuration (only a
+    /// spec that bypassed `Cell::validated` can carry one).
     pub fn fingerprint(&self) -> String {
+        let memo = self.fingerprint.get_or_init(|| self.compute_fingerprint());
+        debug_assert_eq!(
+            *memo,
+            self.compute_fingerprint(),
+            "cell {} changed after its fingerprint was memoised",
+            self.id()
+        );
+        memo.clone()
+    }
+
+    fn compute_fingerprint(&self) -> String {
         Fingerprint::new()
             .push_str(SCHEMA)
             .push_str(MODEL_REVISION)
@@ -158,25 +184,22 @@ impl CellSpec {
 pub fn cells() -> Vec<CellSpec> {
     let suite = crate::effective_suite();
     let counts = crate::pick(vec![2usize, 4, 6, 7], vec![2, 4]);
+    let spec =
+        |w: &Workload, p, chiplets, suite| CellSpec::new(Cell::new(w.clone(), p, chiplets), suite);
     let mut out = Vec::new();
     for &chiplets in &counts {
         for w in &suite {
             for p in PROTOCOLS {
-                out.push(CellSpec::new(w, p, chiplets, SuiteTag::Main));
+                out.push(spec(w, p, chiplets, SuiteTag::Main));
             }
         }
     }
     for w in &suite {
-        out.push(CellSpec::new(
-            w,
-            ProtocolKind::Monolithic,
-            4,
-            SuiteTag::Main,
-        ));
+        out.push(spec(w, ProtocolKind::Monolithic, 4, SuiteTag::Main));
     }
     for w in &crate::effective_multistream_suite() {
         for p in PROTOCOLS {
-            out.push(CellSpec::new(w, p, 4, SuiteTag::MultiStream));
+            out.push(spec(w, p, 4, SuiteTag::MultiStream));
         }
     }
     out
@@ -696,15 +719,18 @@ mod tests {
         }
     }
 
+    fn spec(workload: &str, protocol: ProtocolKind, chiplets: usize, suite: SuiteTag) -> CellSpec {
+        let w = chiplet_workloads::lookup(workload).unwrap_or_else(|e| panic!("{e}"));
+        CellSpec::new(Cell::new(w, protocol, chiplets), suite)
+    }
+
     #[test]
     fn fingerprints_differ_across_every_cell_axis() {
-        let w = chiplet_workloads::lookup("square").unwrap_or_else(|e| panic!("{e}"));
-        let base = CellSpec::new(&w, ProtocolKind::CpElide, 4, SuiteTag::Main);
-        let by_protocol = CellSpec::new(&w, ProtocolKind::Hmg, 4, SuiteTag::Main);
-        let by_count = CellSpec::new(&w, ProtocolKind::CpElide, 2, SuiteTag::Main);
-        let by_suite = CellSpec::new(&w, ProtocolKind::CpElide, 4, SuiteTag::MultiStream);
-        let other = chiplet_workloads::lookup("btree").unwrap_or_else(|e| panic!("{e}"));
-        let by_workload = CellSpec::new(&other, ProtocolKind::CpElide, 4, SuiteTag::Main);
+        let base = spec("square", ProtocolKind::CpElide, 4, SuiteTag::Main);
+        let by_protocol = spec("square", ProtocolKind::Hmg, 4, SuiteTag::Main);
+        let by_count = spec("square", ProtocolKind::CpElide, 2, SuiteTag::Main);
+        let by_suite = spec("square", ProtocolKind::CpElide, 4, SuiteTag::MultiStream);
+        let by_workload = spec("btree", ProtocolKind::CpElide, 4, SuiteTag::Main);
         let prints = [
             base.fingerprint(),
             by_protocol.fingerprint(),
@@ -722,9 +748,27 @@ mod tests {
     }
 
     #[test]
+    fn the_fingerprint_memo_is_lazy_and_travels_with_clones() {
+        let fresh = spec("square", ProtocolKind::CpElide, 4, SuiteTag::Main);
+        assert!(
+            fresh.fingerprint.get().is_none(),
+            "nothing computed at construction"
+        );
+        assert!(fresh.clone().fingerprint.get().is_none());
+        let print = fresh.fingerprint();
+        assert_eq!(fresh.fingerprint.get(), Some(&print));
+        assert_eq!(print, fresh.compute_fingerprint());
+        let copy = fresh.clone();
+        assert_eq!(
+            copy.fingerprint.get(),
+            Some(&print),
+            "clones carry the memo"
+        );
+    }
+
+    #[test]
     fn cell_ids_are_colon_joined() {
-        let w = chiplet_workloads::lookup("square").unwrap_or_else(|e| panic!("{e}"));
-        let spec = CellSpec::new(&w, ProtocolKind::Baseline, 7, SuiteTag::Main);
+        let spec = spec("square", ProtocolKind::Baseline, 7, SuiteTag::Main);
         assert_eq!(spec.id(), "square:Baseline:7");
     }
 }

@@ -3,16 +3,23 @@
 //! The validation half turns an untrusted JSON body into a list of
 //! [`CellSpec`]s, funnelling every axis through the simulator's own
 //! validation seams (`Cell::validated`, `SuiteTag::parse`) and rejecting
-//! client names that could break out of a Prometheus label. The client
-//! half is a deliberately tiny HTTP/1.1 reader used by the daemon's
-//! `--smoke` self-test and the e2e tests — it speaks exactly the subset
-//! the daemon serves (chunked NDJSON responses, `Connection: close`).
+//! client names that could break out of a Prometheus label. Validated
+//! cells are interned in a process-wide table, so a cell the daemon has
+//! seen before resolves with one map lookup, its fingerprint already
+//! computed. The client half is a deliberately tiny HTTP/1.1 reader used
+//! by the daemon's `--smoke` self-test and the e2e tests — it speaks
+//! exactly the subset the daemon serves (chunked NDJSON responses,
+//! `Connection: close`).
 
+use super::sched::lock;
 use crate::campaign::{CellSpec, SuiteTag};
+use chiplet_coherence::ProtocolKind;
 use chiplet_harness::json::{self, Json};
 use chiplet_sim::Cell;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{LazyLock, Mutex};
 use std::time::Duration;
 
 /// Upper bound on cells in one sweep request: over-grid requests are a
@@ -50,17 +57,59 @@ fn get_usize(j: &Json, key: &str) -> Option<usize> {
     }
 }
 
-fn cell_from_axes(
-    workload: &str,
-    protocol: &str,
-    chiplets: usize,
-    suite: &str,
-) -> Result<CellSpec, String> {
-    let suite = SuiteTag::parse(suite)
-        .ok_or_else(|| format!("unknown suite {suite:?} (known: main, multistream)"))?;
-    let cell = Cell::validated(workload, protocol, chiplets)?;
-    Ok(CellSpec { cell, suite })
+/// A validated cell's canonical identity: registry name, protocol,
+/// chiplet count, suite. Request spellings never appear in a key.
+type CellKey = (String, ProtocolKind, usize, SuiteTag);
+
+/// Validated cells interned by their canonical axes. Only a cell that
+/// passed validation is inserted, so the table is bounded by the valid
+/// axis space (workloads × protocols × chiplet counts × suites), whatever
+/// clients send. Each entry's fingerprint is computed before it is
+/// inserted, so every clone handed out carries it.
+#[derive(Default)]
+struct CellTable {
+    cells: Mutex<HashMap<CellKey, CellSpec>>,
 }
+
+impl CellTable {
+    /// Resolves request axes to a validated cell: a table hit when the
+    /// canonical cell was seen before, otherwise full validation
+    /// (`SuiteTag::parse`, then `Cell::validated`) and an insert.
+    ///
+    /// # Errors
+    ///
+    /// The first offending axis, as a human-readable message.
+    fn resolve(
+        &self,
+        workload: &str,
+        protocol: &str,
+        chiplets: usize,
+        suite: &str,
+    ) -> Result<CellSpec, String> {
+        let suite = SuiteTag::parse(suite)
+            .ok_or_else(|| format!("unknown suite {suite:?} (known: main, multistream)"))?;
+        // Registry names are lowercase and `lookup` is case-insensitive,
+        // so a valid request's lowercased name is its canonical one.
+        if let Some(protocol) = ProtocolKind::from_label(protocol) {
+            let key = (workload.to_lowercase(), protocol, chiplets, suite);
+            if let Some(spec) = lock(&self.cells).get(&key) {
+                return Ok(spec.clone());
+            }
+        }
+        let spec = CellSpec::new(Cell::validated(workload, protocol, chiplets)?, suite);
+        let _ = spec.fingerprint(); // memoised before any clone is taken
+        let key = (
+            spec.cell.workload.name().to_owned(),
+            spec.cell.protocol,
+            spec.cell.chiplets,
+            spec.suite,
+        );
+        Ok(lock(&self.cells).entry(key).or_insert(spec).clone())
+    }
+}
+
+/// The process-wide table [`parse_sweep`] resolves cells through.
+static CELLS: LazyLock<CellTable> = LazyLock::new(CellTable::default);
 
 fn parse_one_cell(j: &Json) -> Result<CellSpec, String> {
     let workload = j
@@ -74,7 +123,7 @@ fn parse_one_cell(j: &Json) -> Result<CellSpec, String> {
     let chiplets =
         get_usize(j, "chiplets").ok_or("cell missing non-negative integer \"chiplets\"")?;
     let suite = j.get("suite").and_then(Json::as_str).unwrap_or("main");
-    cell_from_axes(workload, protocol, chiplets, suite)
+    CELLS.resolve(workload, protocol, chiplets, suite)
 }
 
 fn parse_grid(j: &Json) -> Result<Vec<CellSpec>, String> {
@@ -111,7 +160,7 @@ fn parse_grid(j: &Json) -> Result<Vec<CellSpec>, String> {
     for w in &workloads {
         for p in &protocols {
             for &n in &chiplets {
-                out.push(cell_from_axes(w, p, n, suite)?);
+                out.push(CELLS.resolve(w, p, n, suite)?);
             }
         }
     }
@@ -300,6 +349,130 @@ pub fn read_response(stream: TcpStream) -> std::io::Result<HttpResponse> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiplet_harness::prop::{check, PropConfig};
+    use chiplet_harness::prop_assert;
+    use chiplet_harness::rng::Xoshiro256;
+    use std::collections::HashSet;
+
+    /// Request axes as a client might spell them.
+    #[derive(Debug, Clone)]
+    struct Axes {
+        workload: String,
+        protocol: String,
+        chiplets: usize,
+        suite: String,
+    }
+
+    fn pick<'a>(rng: &mut Xoshiro256, from: &'a [&'a str]) -> &'a str {
+        from[rng.gen_range_usize(0..from.len())]
+    }
+
+    /// `s` with each letter independently upper-cased half the time.
+    fn recase(rng: &mut Xoshiro256, s: &str) -> String {
+        s.chars()
+            .map(|c| {
+                if rng.next_bool() {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+
+    /// A mix of valid, invalid and case-varied axes; about half the
+    /// cells re-spell an earlier one, so the table sees hits.
+    fn gen_axes(rng: &mut Xoshiro256, size: usize) -> Vec<Axes> {
+        let names = chiplet_workloads::known_names();
+        let protocols: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.label()).collect();
+        let mut out: Vec<Axes> = Vec::new();
+        for _ in 0..1 + rng.gen_range_usize(0..size.min(24)) {
+            let axes = if !out.is_empty() && rng.next_bool() {
+                let prev = out[rng.gen_range_usize(0..out.len())].clone();
+                Axes {
+                    workload: recase(rng, &prev.workload),
+                    protocol: recase(rng, &prev.protocol),
+                    ..prev
+                }
+            } else {
+                let workload = if rng.gen_range(0..5) == 0 {
+                    pick(rng, &["nope", "sqare", "", "square "]).to_owned()
+                } else {
+                    names[rng.gen_range_usize(0..names.len())].clone()
+                };
+                let protocol = if rng.gen_range(0..5) == 0 {
+                    pick(rng, &["MESI", "", "cp-elide"])
+                } else {
+                    pick(rng, &protocols)
+                };
+                Axes {
+                    workload: recase(rng, &workload),
+                    protocol: recase(rng, protocol),
+                    chiplets: rng.gen_range_usize(0..19),
+                    suite: pick(rng, &["main", "main", "multistream", "MAIN", "side"]).to_owned(),
+                }
+            };
+            out.push(axes);
+        }
+        out
+    }
+
+    #[test]
+    fn interned_cells_match_freshly_validated_ones() {
+        let metrics = Json::object().with("cycles", 1.0);
+        check(
+            "interned_cells_match_freshly_validated_ones",
+            &PropConfig::with_cases(64),
+            gen_axes,
+            |cells| {
+                let table = CellTable::default();
+                let mut keys: HashSet<CellKey> = HashSet::new();
+                for a in cells {
+                    let before = lock(&table.cells).len();
+                    let got = table.resolve(&a.workload, &a.protocol, a.chiplets, &a.suite);
+                    let fresh = SuiteTag::parse(&a.suite).ok_or(()).and_then(|suite| {
+                        Cell::validated(&a.workload, &a.protocol, a.chiplets)
+                            .map(|cell| CellSpec::new(cell, suite))
+                            .map_err(|_| ())
+                    });
+                    match (got, fresh) {
+                        (Ok(got), Ok(fresh)) => {
+                            prop_assert!(
+                                got.fingerprint() == fresh.fingerprint(),
+                                "{a:?}: fingerprints differ"
+                            );
+                            prop_assert!(
+                                got.row(Ok(&metrics)).render() == fresh.row(Ok(&metrics)).render(),
+                                "{a:?}: rows differ"
+                            );
+                            keys.insert((
+                                fresh.cell.workload.name().to_owned(),
+                                fresh.cell.protocol,
+                                fresh.cell.chiplets,
+                                fresh.suite,
+                            ));
+                        }
+                        (Err(_), Err(())) => {
+                            prop_assert!(
+                                lock(&table.cells).len() == before,
+                                "{a:?}: invalid axes inserted"
+                            );
+                        }
+                        (got, _) => {
+                            return Err(format!("{a:?}: validity disagrees ({got:?})"));
+                        }
+                    }
+                    prop_assert!(
+                        lock(&table.cells).len() == keys.len(),
+                        "{} entries for {} canonical cells",
+                        lock(&table.cells).len(),
+                        keys.len()
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn client_names_are_label_safe() {

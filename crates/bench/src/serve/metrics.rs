@@ -29,8 +29,9 @@ pub struct ServeMetrics {
     cells_failed_total: AtomicU64,
     /// Cells cancelled before starting (deadline or disconnect).
     cells_cancelled_total: AtomicU64,
-    /// End-to-end sweep latency in milliseconds (admission to last cell
-    /// streamed), log2-bucketed; exposes p50/p90/p99 gauges.
+    /// End-to-end sweep latency in whole milliseconds (from before
+    /// request validation to the last cell streamed), log2-bucketed;
+    /// exposes p50/p90/p99 gauges.
     latency_ms: Mutex<Histogram>,
 }
 

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use client::SweepRequest;
 use http::{ChunkedWriter, HttpRequest, ReadError};
 use metrics::ServeMetrics;
-use sched::{AdmitError, CellStatus, Scheduler, SchedulerSource};
+use sched::{lock, AdmitError, CellStatus, Scheduler, SchedulerSource};
 
 /// Daemon configuration, normally read from the environment.
 #[derive(Debug, Clone)]
@@ -112,6 +112,13 @@ impl Server {
         Arc::clone(&self.ctx.metrics)
     }
 
+    /// Connection threads whose handles the daemon still holds: the
+    /// running ones plus any that finished since the last accept (each
+    /// accept drops the finished ones).
+    pub fn retained_connections(&self) -> usize {
+        lock(&self.conns).len()
+    }
+
     /// Requests a stop and then [`Server::join`]s.
     pub fn shutdown(self) {
         self.ctx.stopping.store(true, Ordering::SeqCst);
@@ -127,7 +134,7 @@ impl Server {
         let _ = self.accept.join();
         self.ctx.sched.shutdown();
         self.pool.join();
-        let handles = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|p| p.into_inner()));
+        let handles = std::mem::take(&mut *lock(&self.conns));
         for h in handles {
             let _ = h.join();
         }
@@ -176,7 +183,12 @@ pub fn spawn(config: &ServeConfig) -> std::io::Result<Server> {
                 let Ok(stream) = stream else { continue };
                 let ctx = Arc::clone(&ctx);
                 let handle = std::thread::spawn(move || handle_connection(stream, &ctx));
-                conns.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
+                let mut conns = lock(&conns);
+                // Drop the handles of connections that have finished (their
+                // threads are gone, so nothing is detached), so the list
+                // tracks live connections, not every connection ever served.
+                conns.retain(|h| !h.is_finished());
+                conns.push(handle);
             }
         })
     };
@@ -313,8 +325,11 @@ fn known_path(path: &str) -> bool {
 /// `POST /v1/sweep`: validate, admit (or 429), then stream one NDJSON
 /// event per cell in request order as the scheduler completes them,
 /// ending with a `done` summary event. A write failure means the client
-/// disconnected: the request's remaining queued cells are cancelled.
+/// disconnected: the request's remaining queued cells are cancelled. The
+/// latency histogram times a streamed request from before validation to
+/// its last chunk.
 fn handle_sweep(body: &str, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
+    let started = Instant::now();
     let SweepRequest {
         client,
         specs,
@@ -327,7 +342,6 @@ fn handle_sweep(body: &str, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::
         }
     };
     let timeout = timeout.or(ctx.default_timeout);
-    let started = Instant::now();
     let req = match ctx.sched.submit(&client, specs, timeout) {
         Ok(req) => req,
         Err(e @ AdmitError::Backpressure(..)) => {

@@ -465,7 +465,7 @@ impl JobSource for SchedulerSource {
 
 /// Poison-tolerant lock (same rationale as the fleet's: state is only
 /// ever a committed value between panics contained elsewhere).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(super) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -478,14 +478,14 @@ mod tests {
     use chiplet_sim::Cell;
 
     fn spec(workload: &str, chiplets: usize) -> CellSpec {
-        CellSpec {
-            cell: Cell::new(
+        CellSpec::new(
+            Cell::new(
                 chiplet_workloads::lookup(workload).unwrap_or_else(|e| panic!("{e}")),
                 ProtocolKind::Baseline,
                 chiplets,
             ),
-            suite: SuiteTag::Main,
-        }
+            SuiteTag::Main,
+        )
     }
 
     fn sched(bound: usize) -> Arc<Scheduler> {
@@ -586,14 +586,7 @@ mod tests {
         // chiplets=0 makes SimConfig::table1 assert inside execute_cell.
         let s = sched(16);
         let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
-        let bad = CellSpec {
-            cell: Cell::new(
-                chiplet_workloads::lookup("square").unwrap_or_else(|e| panic!("{e}")),
-                ProtocolKind::Baseline,
-                0,
-            ),
-            suite: SuiteTag::Main,
-        };
+        let bad = spec("square", 0);
         let req = s
             .submit("x", vec![bad, spec("square", 1)], None)
             .expect("admitted");

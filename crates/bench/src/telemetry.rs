@@ -239,9 +239,11 @@ mod tests {
         let w = chiplet_workloads::lookup("btree").unwrap_or_else(|e| panic!("{e}"));
         let specs: Vec<CellSpec> = crate::campaign::PROTOCOLS
             .iter()
-            .map(|&p| CellSpec {
-                cell: chiplet_sim::experiments::Cell::new(w.clone(), p, 2),
-                suite: crate::campaign::SuiteTag::Main,
+            .map(|&p| {
+                CellSpec::new(
+                    chiplet_sim::experiments::Cell::new(w.clone(), p, 2),
+                    crate::campaign::SuiteTag::Main,
+                )
             })
             .collect();
         let outcome = crate::campaign::run(&specs, workers, None, None, false);

@@ -45,10 +45,7 @@ fn fresh_dir(sub: &str) -> PathBuf {
 fn specs_for(w: &Workload, chiplets: usize) -> Vec<CellSpec> {
     PROTOCOLS
         .iter()
-        .map(|&p| CellSpec {
-            cell: Cell::new(w.clone(), p, chiplets),
-            suite: SuiteTag::Main,
-        })
+        .map(|&p| CellSpec::new(Cell::new(w.clone(), p, chiplets), SuiteTag::Main))
         .collect()
 }
 

@@ -170,10 +170,7 @@ fn cache_counters_track_hit_miss_and_corrupt_lookups() {
     let gamma = parse_workload(GAMMA).expect("gamma spec parses");
     let specs: Vec<CellSpec> = PROTOCOLS
         .iter()
-        .map(|&p| CellSpec {
-            cell: Cell::new(gamma.clone(), p, 2),
-            suite: SuiteTag::Main,
-        })
+        .map(|&p| CellSpec::new(Cell::new(gamma.clone(), p, 2), SuiteTag::Main))
         .collect();
     let dir = tmp("cache");
 
@@ -216,10 +213,7 @@ fn a_poisoned_cell_failure_carries_its_label() {
     let gamma = parse_workload(GAMMA).expect("gamma spec parses");
     let specs: Vec<CellSpec> = PROTOCOLS
         .iter()
-        .map(|&p| CellSpec {
-            cell: Cell::new(gamma.clone(), p, 2),
-            suite: SuiteTag::Main,
-        })
+        .map(|&p| CellSpec::new(Cell::new(gamma.clone(), p, 2), SuiteTag::Main))
         .collect();
     let poisoned = specs[0].id();
     let outcome = campaign::run(&specs, 2, None, Some(poisoned.as_str()), false);

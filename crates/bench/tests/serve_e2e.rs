@@ -11,11 +11,13 @@
 //! - a burst over the admission bound is rejected whole with a 429 and
 //!   the daemon stays serviceable;
 //! - a request deadline cancels not-yet-started cells while the stream
-//!   still terminates with every index accounted for.
+//!   still terminates with every index accounted for;
+//! - the daemon drops finished connection threads as it accepts new
+//!   ones, so the handles it holds do not grow with requests served.
 
 use chiplet_harness::json::{self, Json};
 use chiplet_harness::trace::prom;
-use cpelide_bench::serve::client;
+use cpelide_bench::serve::{self, client, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -389,4 +391,29 @@ fn deadline_cancels_not_yet_started_cells() {
         Some(cancelled as f64)
     );
     daemon.shutdown();
+}
+
+#[test]
+fn finished_connection_threads_are_reaped() {
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        queue_bound: 16,
+        default_timeout: None,
+    };
+    let server = serve::spawn(&config).expect("bind an ephemeral port");
+    for i in 0..200 {
+        let resp = client::http_request(server.addr(), "GET", "/healthz", "")
+            .unwrap_or_else(|e| panic!("request {i}: {e}"));
+        assert_eq!(resp.status, 200, "request {i}");
+    }
+    // Each accept drops the handles of threads that finished before it,
+    // so only the last few connections can still be held; without
+    // reaping this is 200.
+    let held = server.retained_connections();
+    assert!(
+        held <= 16,
+        "{held} connection handles held after 200 requests"
+    );
+    server.shutdown();
 }

@@ -11,6 +11,18 @@
 //! the paper's §V (e.g. BabelStream's streaming reuse, Hotspot's compute
 //! boundedness, BTree's irregular single-pass lookups).
 //!
+//! # The registry
+//!
+//! Every workload is built once per process, on first use, into one
+//! registry: the Table II suite followed by the multi-stream study.
+//! [`suite`], [`multi_stream_suite`], [`by_name`], [`lookup`] and
+//! [`known_names`] all read from it, so a name lookup is a scan over 28
+//! names plus one clone, never a rebuild of every workload. Sharing is
+//! sound because a [`Workload`] is immutable after [`Workload::new`], and
+//! a clone is cheap because each kernel is behind an [`Arc`].
+//! [`build_all`] bypasses the registry and builds every workload afresh,
+//! which is how tests check that the two never differ.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +47,7 @@ use chiplet_gpu::stream::StreamId;
 use chiplet_gpu::table::ArrayTable;
 use chiplet_mem::addr::ChipletId;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Inter-kernel-reuse grouping used throughout the evaluation (paper
 /// §IV-D, computed as the miss-rate reduction from inter-kernel reuse with
@@ -158,8 +170,41 @@ pub(crate) fn single_stream(kernels: Vec<Arc<KernelSpec>>) -> Vec<Launch> {
         .collect()
 }
 
-/// The full 24-application Table II suite, in the paper's order.
-pub fn suite() -> Vec<Workload> {
+/// The process-wide registry: the Table II suite and the multi-stream
+/// study, each built once on first use.
+struct Registry {
+    main: Vec<Workload>,
+    multi: Vec<Workload>,
+}
+
+impl Registry {
+    /// Every workload, Table II first.
+    fn all(&self) -> impl Iterator<Item = &Workload> {
+        self.main.iter().chain(&self.multi)
+    }
+}
+
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(|| Registry {
+        main: build_suite(),
+        multi: multistream::suite(),
+    })
+}
+
+/// Builds every registered workload afresh from its constructor, in
+/// registry order: the Table II suite, then the multi-stream study.
+/// The registry holds the same workloads, built once; everyday callers
+/// want [`lookup`] or [`suite`] instead, which share that one build.
+pub fn build_all() -> Vec<Workload> {
+    build_suite()
+        .into_iter()
+        .chain(multistream::suite())
+        .collect()
+}
+
+/// Builds the Table II suite from its workload constructors.
+fn build_suite() -> Vec<Workload> {
     vec![
         // Moderate-to-high inter-kernel reuse.
         streaming::babelstream(),
@@ -190,10 +235,20 @@ pub fn suite() -> Vec<Workload> {
     ]
 }
 
+/// The full 24-application Table II suite, in the paper's order.
+pub fn suite() -> Vec<Workload> {
+    registry().main.clone()
+}
+
 /// Looks up one suite workload by name (case-insensitive).
 pub fn by_name(name: &str) -> Option<Workload> {
+    find(registry().main.iter(), name)
+}
+
+/// The workload in `among` whose name matches `name` case-insensitively.
+fn find<'a>(mut among: impl Iterator<Item = &'a Workload>, name: &str) -> Option<Workload> {
     let lower = name.to_lowercase();
-    suite().into_iter().find(|w| w.name() == lower)
+    among.find(|w| w.name() == lower).cloned()
 }
 
 /// Error returned by [`lookup`]: no workload carries the requested name.
@@ -222,32 +277,23 @@ impl std::error::Error for UnknownWorkload {}
 /// Every known workload name: the Table II suite followed by the
 /// multi-stream study.
 pub fn known_names() -> Vec<String> {
-    suite()
-        .into_iter()
-        .chain(multi_stream_suite())
-        .map(|w| w.name().to_owned())
-        .collect()
+    registry().all().map(|w| w.name().to_owned()).collect()
 }
 
 /// Looks up a workload by (case-insensitive) name across both the Table II
 /// suite and the multi-stream study, reporting an [`UnknownWorkload`]
 /// error that names the missing workload on failure.
 pub fn lookup(name: &str) -> Result<Workload, UnknownWorkload> {
-    let lower = name.to_lowercase();
-    suite()
-        .into_iter()
-        .chain(multi_stream_suite())
-        .find(|w| w.name() == lower)
-        .ok_or(UnknownWorkload {
-            name: name.to_owned(),
-        })
+    find(registry().all(), name).ok_or(UnknownWorkload {
+        name: name.to_owned(),
+    })
 }
 
 /// The §VI multi-stream study: `streams` (the only multi-stream benchmark
 /// in gem5-resources) plus multi-stream extensions of a subset of Table II
 /// applications, mimicking concurrent jobs.
 pub fn multi_stream_suite() -> Vec<Workload> {
-    multistream::suite()
+    registry().multi.clone()
 }
 
 #[cfg(test)]

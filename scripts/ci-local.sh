@@ -37,6 +37,11 @@ cargo build --workspace --release
 echo "== Test (release, offline) =="
 cargo test --workspace --release -q
 
+echo "== Benchmark package (build and unit-test perfbench) =="
+# perfbench/ is its own cargo workspace; building it here catches library
+# API changes that would break the benchmark. Build output stays in target/.
+cargo test --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "== Smoke-run every figure binary =="
 CPELIDE_SMOKE=1 cargo run --release -p cpelide-bench --bin all
 
