@@ -20,6 +20,10 @@
 //! come from the same `campaign::execute_cell` seam — and the same
 //! `DiskCache` — as the batch runner, so the daemon and the campaign
 //! share hits byte-for-byte.
+//!
+//! Hostile clients are bounded: request size and read time
+//! ([`http`]'s limits), JSON nesting depth, and at most
+//! [`MAX_CONNECTIONS`] live connections (more get a 503).
 
 pub mod client;
 pub mod http;
@@ -29,16 +33,20 @@ pub mod sched;
 use chiplet_harness::fleet::{self, ServicePool};
 use chiplet_harness::json::Json;
 use chiplet_harness::trace::prom;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use client::SweepRequest;
-use http::{ChunkedWriter, HttpRequest, ReadError};
+use http::{ChunkedWriter, DeadlineReader, HttpRequest, ReadError};
 use metrics::ServeMetrics;
-use sched::{lock, AdmitError, CellStatus, Scheduler, SchedulerSource};
+use sched::{lock, AdmitError, CellDone, CellStatus, Scheduler, SchedulerSource};
+
+/// Most connections served at once; each holds a thread. A connection
+/// accepted past it is answered 503 and closed.
+pub const MAX_CONNECTIONS: usize = 128;
 
 /// Daemon configuration, normally read from the environment.
 #[derive(Debug, Clone)]
@@ -88,6 +96,17 @@ struct ServeCtx {
     default_timeout: Option<Duration>,
     stopping: AtomicBool,
     addr: SocketAddr,
+    /// Connections being served (the [`MAX_CONNECTIONS`] count).
+    live: AtomicUsize,
+}
+
+/// Holds one of the [`MAX_CONNECTIONS`] places until dropped.
+struct LiveConnection(Arc<ServeCtx>);
+
+impl Drop for LiveConnection {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A running daemon: the listener thread, the worker pool, and the
@@ -170,6 +189,7 @@ pub fn spawn(config: &ServeConfig) -> std::io::Result<Server> {
         default_timeout: config.default_timeout,
         stopping: AtomicBool::new(false),
         addr,
+        live: AtomicUsize::new(0),
     });
     let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let accept = {
@@ -180,9 +200,17 @@ pub fn spawn(config: &ServeConfig) -> std::io::Result<Server> {
                 if ctx.stopping.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
-                let ctx = Arc::clone(&ctx);
-                let handle = std::thread::spawn(move || handle_connection(stream, &ctx));
+                let Ok(mut stream) = stream else { continue };
+                if stream.set_write_timeout(Some(http::WRITE_TIMEOUT)).is_err() {
+                    continue;
+                }
+                if ctx.live.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    ctx.live.fetch_sub(1, Ordering::SeqCst);
+                    refuse_connection(&mut stream);
+                    continue;
+                }
+                let live = LiveConnection(Arc::clone(&ctx));
+                let handle = std::thread::spawn(move || handle_connection(stream, &live.0));
                 let mut conns = lock(&conns);
                 // Drop the handles of connections that have finished (their
                 // threads are gone, so nothing is detached), so the list
@@ -236,6 +264,27 @@ fn workloads_doc() -> Json {
         )
 }
 
+/// Answers a connection accepted past [`MAX_CONNECTIONS`] with a 503
+/// from the accept thread, without blocking it: whatever request bytes
+/// have already arrived are drained first, so closing the socket does not
+/// reset it before the client reads the answer.
+fn refuse_connection(stream: &mut TcpStream) {
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 4096];
+        for _ in 0..16 {
+            if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+                break;
+            }
+        }
+    }
+    let _ = http::write_error(
+        stream,
+        503,
+        "too_many_connections",
+        &format!("the daemon is serving its maximum of {MAX_CONNECTIONS} connections; retry later"),
+    );
+}
+
 /// Serves one connection: read one request, dispatch, close. Socket
 /// errors just end the connection (and cancel a streaming sweep).
 fn handle_connection(stream: TcpStream, ctx: &ServeCtx) {
@@ -243,28 +292,32 @@ fn handle_connection(stream: TcpStream, ctx: &ServeCtx) {
         Ok(s) => s,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(peer_stream);
+    let mut reader = BufReader::new(DeadlineReader::new(peer_stream));
     let mut stream = stream;
-    let request = match http::read_request(&mut reader) {
-        Ok(Ok(r)) => r,
-        Ok(Err(ReadError::Malformed(m))) => {
-            ctx.metrics.note_bad_request();
-            let _ = http::write_error(&mut stream, 400, "bad_request", &m);
+    let (status, code, message) = match http::read_request(&mut reader) {
+        Ok(Ok(request)) => {
+            let _ = dispatch(&request, &mut stream, ctx);
             return;
         }
-        Ok(Err(ReadError::TooLarge(n))) => {
-            ctx.metrics.note_bad_request();
-            let _ = http::write_error(
-                &mut stream,
-                413,
-                "payload_too_large",
-                &format!("body of {n} bytes exceeds {}", http::MAX_BODY_BYTES),
-            );
-            return;
-        }
+        Ok(Err(ReadError::Malformed(m))) => (400, "bad_request", m),
+        Ok(Err(ReadError::TooLarge(n))) => (
+            413,
+            "payload_too_large",
+            format!("body of {n} bytes exceeds {}", http::MAX_BODY_BYTES),
+        ),
+        Ok(Err(ReadError::HeadersTooLarge(m))) => (431, "headers_too_large", m),
+        Err(e) if http::is_timeout(&e) => (
+            408,
+            "request_timeout",
+            format!(
+                "request not received within {} s",
+                http::REQUEST_TIMEOUT.as_secs()
+            ),
+        ),
         Err(_) => return,
     };
-    let _ = dispatch(&request, &mut stream, ctx);
+    ctx.metrics.note_bad_request();
+    let _ = http::write_error(&mut stream, status, code, &message);
 }
 
 fn dispatch(req: &HttpRequest, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
@@ -322,12 +375,36 @@ fn known_path(path: &str) -> bool {
     )
 }
 
+/// The NDJSON `cell` event for slot `index`: the small wrapper object
+/// rendered by the JSON writer, with the row's rendered text spliced in
+/// as its last field, `"cell"`. Byte-identical to rendering the event
+/// with the row as a parsed tree, without parsing or re-rendering it.
+fn cell_event(index: usize, done: &CellDone) -> String {
+    let mut event = Json::object()
+        .with("event", "cell")
+        .with("index", index)
+        .with("seq", done.seq as f64)
+        .with("status", done.status.label());
+    if done.status == CellStatus::Cancelled {
+        return event.render_compact();
+    }
+    event.set("cached", done.cached);
+    let mut line = event.render_compact();
+    line.pop(); // the wrapper's closing brace
+    line.push_str(",\"cell\":");
+    line.push_str(&done.row);
+    line.push('}');
+    line
+}
+
 /// `POST /v1/sweep`: validate, admit (or 429), then stream one NDJSON
 /// event per cell in request order as the scheduler completes them,
-/// ending with a `done` summary event. A write failure means the client
-/// disconnected: the request's remaining queued cells are cancelled. The
-/// latency histogram times a streamed request from before validation to
-/// its last chunk.
+/// ending with a `done` summary event. Lines are queued and sent in one
+/// write whenever the next cell is not done yet, so the client has every
+/// finished line while the handler waits, and at the end. A write
+/// failure means the client disconnected: the request's remaining queued
+/// cells are cancelled. The latency histogram times a streamed request
+/// from before validation to its last chunk.
 fn handle_sweep(body: &str, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
     let started = Instant::now();
     let SweepRequest {
@@ -353,10 +430,20 @@ fn handle_sweep(body: &str, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::
         }
     };
     ctx.metrics.note_request();
-    let mut writer = ChunkedWriter::start(stream, 200)?;
+    let mut writer = ChunkedWriter::start(stream, 200);
     let (mut ok, mut failed, mut cancelled, mut hits) = (0u64, 0u64, 0u64, 0u64);
     for index in 0..req.total() {
-        let done = ctx.sched.wait_cell(&req, index);
+        let done = match ctx.sched.try_cell(&req, index) {
+            Some(done) => done,
+            None => {
+                if writer.flush().is_err() {
+                    // Client went away mid-stream: stop work it no longer wants.
+                    ctx.sched.cancel(&req);
+                    return Ok(());
+                }
+                ctx.sched.wait_cell(&req, index)
+            }
+        };
         match done.status {
             CellStatus::Ok => {
                 ok += 1;
@@ -365,17 +452,7 @@ fn handle_sweep(body: &str, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::
             CellStatus::Failed => failed += 1,
             CellStatus::Cancelled => cancelled += 1,
         }
-        let mut event = Json::object()
-            .with("event", "cell")
-            .with("index", index)
-            .with("seq", done.seq as f64)
-            .with("status", done.status.label());
-        if done.status != CellStatus::Cancelled {
-            event.set("cached", done.cached);
-            event.set("cell", done.row);
-        }
-        if writer.line(&event).is_err() {
-            // Client went away mid-stream: stop work it no longer wants.
+        if writer.line(&cell_event(index, &done)).is_err() {
             ctx.sched.cancel(&req);
             return Ok(());
         }
@@ -387,7 +464,7 @@ fn handle_sweep(body: &str, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::
         .with("failed", failed)
         .with("cancelled", cancelled)
         .with("cache_hits", hits);
-    let _ = writer.line(&summary);
+    let _ = writer.line(&summary.render_compact());
     let out = writer.finish();
     let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
     ctx.metrics.observe_latency_ms(ms);
@@ -460,4 +537,58 @@ pub fn smoke_self_test() -> Result<(), String> {
     }
     server.join();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chiplet_harness::json;
+
+    /// The event line built as one tree, with the row parsed back in.
+    fn tree_event(index: usize, done: &CellDone) -> String {
+        let mut event = Json::object()
+            .with("event", "cell")
+            .with("index", index)
+            .with("seq", done.seq as f64)
+            .with("status", done.status.label());
+        if done.status != CellStatus::Cancelled {
+            event.set("cached", done.cached);
+            event.set("cell", json::parse(&done.row).expect("row is JSON"));
+        }
+        event.render_compact()
+    }
+
+    #[test]
+    fn cell_events_splice_the_row_text_byte_for_byte() {
+        let spec = client::parse_sweep(
+            r#"{"client":"t","cells":[{"workload":"square","protocol":"CPElide","chiplets":4}]}"#,
+        )
+        .expect("valid sweep")
+        .specs
+        .remove(0);
+        let metrics = Json::object()
+            .with("cycles", 123_456u64)
+            .with("ratio", 0.1 + 0.2)
+            .with("note", "quote \" backslash \\ newline \n")
+            .with("empty", Json::object())
+            .with("list", Json::Arr(vec![Json::Null, Json::Bool(true)]));
+        let ok_row = spec.row(Ok(&metrics)).render_compact();
+        let failed_row = spec.row(Err("boom \"x\"")).render_compact();
+        for (status, row, cached) in [
+            (CellStatus::Ok, ok_row.as_str(), true),
+            (CellStatus::Ok, ok_row.as_str(), false),
+            (CellStatus::Failed, failed_row.as_str(), false),
+            (CellStatus::Cancelled, "", false),
+        ] {
+            let done = CellDone {
+                row: row.into(),
+                cached,
+                seq: 42,
+                status,
+            };
+            for index in [0, 7, 4095] {
+                assert_eq!(cell_event(index, &done), tree_event(index, &done));
+            }
+        }
+    }
 }

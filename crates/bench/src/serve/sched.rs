@@ -15,11 +15,16 @@
 //! order into a slot buffer, and the connection thread drains slots in
 //! submission order — the same determinism contract as the batch fleet,
 //! so a streamed response always lists cells in request order.
+//!
+//! Rows travel as rendered text. With a disk cache, the scheduler also
+//! memoises each successful cell's row by fingerprint: a row is a pure
+//! function of its fingerprint, so a cell served before is answered from
+//! the memo without touching the cache file, the parser or the renderer.
 
 use crate::campaign::{execute_cell, CellSpec};
 use chiplet_harness::fleet::{self, DiskCache, JobSource, ServiceJob};
 use chiplet_harness::json::Json;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -48,13 +53,15 @@ impl CellStatus {
     }
 }
 
-/// One completed (or cancelled) cell, ready to stream.
+/// One completed (or cancelled) cell, ready to stream. Cloning it costs
+/// a reference-count increment.
 #[derive(Debug, Clone)]
 pub struct CellDone {
-    /// The `campaign.json` row for this cell (via [`CellSpec::row`], so
-    /// it is byte-identical to the batch artifact's row).
-    pub row: Json,
-    /// Served from the disk cache rather than simulated.
+    /// The `campaign.json` row for this cell, compact-rendered (via
+    /// [`CellSpec::row`], so it is byte-identical to the batch artifact's
+    /// row). Empty for a cancelled cell, which never ran.
+    pub row: Arc<str>,
+    /// Served from the disk cache or the row memo rather than simulated.
     pub cached: bool,
     /// Global completion stamp: the scheduler's monotone counter at the
     /// instant this cell finished, across all clients. Tests use it to
@@ -165,6 +172,11 @@ pub struct Scheduler {
     queue_bound: usize,
     seq: AtomicU64,
     cache: Option<DiskCache>,
+    /// Rendered rows of the cells that completed ok, by fingerprint; only
+    /// filled when there is a `cache`. Cells reach the scheduler through
+    /// `parse_sweep`'s validation, so this is bounded by the valid axis
+    /// space, like the interned cell table.
+    rows: Mutex<HashMap<String, Arc<str>>>,
     metrics: Arc<ServeMetrics>,
 }
 
@@ -184,6 +196,7 @@ impl Scheduler {
             queue_bound: queue_bound.max(1),
             seq: AtomicU64::new(0),
             cache,
+            rows: Mutex::new(HashMap::new()),
             metrics,
         }
     }
@@ -294,18 +307,34 @@ impl Scheduler {
         None
     }
 
+    /// The rendered row of `spec` and whether it was cached: from the row
+    /// memo when the cell was served before, otherwise through
+    /// [`execute_cell`], memoising the row when there is a disk cache (so
+    /// with `CPELIDE_CACHE=0` every cell is simulated).
+    fn render_cell(&self, spec: &CellSpec) -> (Arc<str>, bool) {
+        let key = spec.fingerprint();
+        if let Some(row) = lock(&self.rows).get(&key) {
+            return (Arc::clone(row), true);
+        }
+        let out = execute_cell(spec, self.cache.as_ref());
+        let row: Arc<str> = spec.row(Ok(&out.metrics)).render_compact().into();
+        if self.cache.is_some() {
+            lock(&self.rows).insert(key, Arc::clone(&row));
+        }
+        (row, out.cached())
+    }
+
     /// Runs one popped cell to completion and resolves its slot. The
     /// heavy work happens with no scheduler lock held.
     fn run_cell(&self, cell: QueuedCell) {
         let QueuedCell { spec, index, req } = cell;
-        let outcome = fleet::run_caught(|| execute_cell(&spec, self.cache.as_ref()));
+        let outcome = fleet::run_caught(|| self.render_cell(&spec));
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let done = match outcome {
-            Ok(out) => {
-                let cached = out.cached();
+            Ok((row, cached)) => {
                 self.metrics.note_cell(cached, false);
                 CellDone {
-                    row: spec.row(Ok(&out.metrics)),
+                    row,
                     cached,
                     seq,
                     status: CellStatus::Ok,
@@ -323,7 +352,7 @@ impl Scheduler {
                         .with("error", message.as_str())
                 });
                 CellDone {
-                    row,
+                    row: row.render_compact().into(),
                     cached: false,
                     seq,
                     status: CellStatus::Failed,
@@ -370,7 +399,7 @@ impl Scheduler {
                     let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
                     self.metrics.note_cancelled();
                     *slot = Slot::Done(CellDone {
-                        row: Json::Null,
+                        row: Arc::from(""),
                         cached: false,
                         seq,
                         status: CellStatus::Cancelled,
@@ -382,6 +411,14 @@ impl Scheduler {
         }
         drop(inner);
         req.cv.notify_all();
+    }
+
+    /// Slot `index` of `req` if it is done, without waiting.
+    pub fn try_cell(&self, req: &Request, index: usize) -> Option<CellDone> {
+        match &lock(&req.inner).slots[index] {
+            Slot::Done(done) => Some(done.clone()),
+            _ => None,
+        }
     }
 
     /// Blocks until slot `index` of `req` is done and returns it,
@@ -492,6 +529,28 @@ mod tests {
         Arc::new(Scheduler::new(bound, None, Arc::new(ServeMetrics::new())))
     }
 
+    /// A scheduler over a fresh disk cache in `dir`, with one worker.
+    fn cached_sched(dir: &std::path::Path) -> (Arc<Scheduler>, ServicePool) {
+        let _ = std::fs::remove_dir_all(dir);
+        let s = Arc::new(Scheduler::new(
+            16,
+            Some(DiskCache::new(dir)),
+            Arc::new(ServeMetrics::new()),
+        ));
+        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
+        (s, pool)
+    }
+
+    /// Submits `spec` alone and waits for it.
+    fn run_one(s: &Arc<Scheduler>, spec: CellSpec) -> CellDone {
+        let req = s.submit("t", vec![spec], None).expect("admitted");
+        s.wait_cell(&req, 0)
+    }
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("sched-{name}-{}", std::process::id()))
+    }
+
     #[test]
     fn admission_rejects_whole_requests_atomically() {
         let s = sched(2);
@@ -593,9 +652,66 @@ mod tests {
         let first = s.wait_cell(&req, 0);
         let second = s.wait_cell(&req, 1);
         assert_eq!(first.status, CellStatus::Failed);
-        assert_eq!(first.row.get("failed").and_then(Json::as_bool), Some(true));
+        let row = chiplet_harness::json::parse(&first.row).expect("failed row is JSON");
+        assert_eq!(row.get("failed").and_then(Json::as_bool), Some(true));
         assert_eq!(second.status, CellStatus::Ok, "worker survived the panic");
         s.shutdown();
         pool.join();
+    }
+
+    #[test]
+    fn a_repeated_cell_is_served_from_the_row_memo() {
+        let dir = tmp("memo");
+        let (s, pool) = cached_sched(&dir);
+        let first = run_one(&s, spec("square", 1));
+        assert_eq!(first.status, CellStatus::Ok);
+        assert!(!first.cached, "a fresh cache simulates the cell");
+        // With the cache file gone, only the memo can still answer.
+        std::fs::remove_dir_all(&dir).expect("remove the cache");
+        let again = run_one(&s, spec("square", 1));
+        assert_eq!(again.status, CellStatus::Ok);
+        assert!(again.cached, "a memo hit counts as cached");
+        assert_eq!(again.row, first.row, "memoised rows are byte-identical");
+        let fresh = execute_cell(&spec("square", 1), None);
+        assert_eq!(
+            *again.row,
+            spec("square", 1).row(Ok(&fresh.metrics)).render_compact(),
+            "the memo holds the compact rendering of CellSpec::row"
+        );
+        assert_eq!(s.metrics.cells_total(), 2);
+        assert_eq!(s.metrics.cache_hits_total(), 1);
+        assert!(!dir.exists(), "a memo hit does not touch the disk cache");
+        s.shutdown();
+        pool.join();
+    }
+
+    #[test]
+    fn without_a_disk_cache_every_cell_is_simulated() {
+        let s = sched(16);
+        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
+        let first = run_one(&s, spec("square", 1));
+        let again = run_one(&s, spec("square", 1));
+        assert!(!first.cached && !again.cached, "CPELIDE_CACHE=0 simulates");
+        assert_eq!(again.row, first.row);
+        assert!(lock(&s.rows).is_empty(), "nothing memoised without a cache");
+        s.shutdown();
+        pool.join();
+    }
+
+    #[test]
+    fn failed_cells_are_never_memoised() {
+        let dir = tmp("memo-failed");
+        let (s, pool) = cached_sched(&dir);
+        for _ in 0..2 {
+            let bad = run_one(&s, spec("square", 0));
+            assert_eq!(bad.status, CellStatus::Failed);
+            assert!(!bad.cached);
+        }
+        assert!(lock(&s.rows).is_empty(), "a failed cell left a memo entry");
+        assert_eq!(run_one(&s, spec("square", 1)).status, CellStatus::Ok);
+        assert_eq!(lock(&s.rows).len(), 1, "only the ok cell is memoised");
+        s.shutdown();
+        pool.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,16 +13,23 @@
 //! - a request deadline cancels not-yet-started cells while the stream
 //!   still terminates with every index accounted for;
 //! - the daemon drops finished connection threads as it accepts new
-//!   ones, so the handles it holds do not grow with requests served.
+//!   ones, so the handles it holds do not grow with requests served;
+//! - a repeated cell is answered from the daemon's row memo (still
+//!   `cached`, byte-identical) even after its cache file is deleted, and
+//!   with `CPELIDE_CACHE=0` it is simulated again;
+//! - a finished line is on the wire while a later cell still runs;
+//! - hostile input gets its status and the daemon survives: deep JSON
+//!   nesting (400), oversized lines and headers (431), a stalled client
+//!   (408, without blocking others) and too many connections (503).
 
 use chiplet_harness::json::{self, Json};
 use chiplet_harness::trace::prom;
-use cpelide_bench::serve::{self, client, ServeConfig};
-use std::io::{BufRead, BufReader, Write};
+use cpelide_bench::serve::{self, client, http, ServeConfig};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmp(sub: &str) -> PathBuf {
     let p = Path::new(env!("CARGO_TARGET_TMPDIR"))
@@ -416,4 +423,243 @@ fn finished_connection_threads_are_reaped() {
         "{held} connection handles held after 200 requests"
     );
     server.shutdown();
+}
+
+/// The `"code"` of an error response's body.
+fn error_code(resp: &client::HttpResponse) -> String {
+    json::parse(&resp.body)
+        .ok()
+        .and_then(|e| {
+            e.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+        })
+        .unwrap_or_else(|| panic!("not an error body: {}", resp.body))
+}
+
+/// Sends `raw` bytes as the whole request and reads the response.
+fn raw_request(addr: SocketAddr, raw: &[u8]) -> client::HttpResponse {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set read timeout");
+    stream.write_all(raw).expect("send request");
+    client::read_response(stream).expect("read response")
+}
+
+/// A one-cell sweep body for `workload:protocol:chiplets`.
+fn one_cell(workload: &str, protocol: &str, chiplets: usize) -> String {
+    format!(
+        r#"{{"client":"t","cells":[{{"workload":"{workload}","protocol":"{protocol}","chiplets":{chiplets}}}]}}"#
+    )
+}
+
+/// The rendered text of the first cell event's row, as sent.
+fn row_text(resp: &client::HttpResponse) -> &str {
+    let line = resp.lines()[0];
+    let at = line.find(r#","cell":"#).expect("cell event carries a row");
+    &line[at..]
+}
+
+#[test]
+fn a_repeated_cell_is_served_from_the_row_memo() {
+    let dir = tmp("row_memo");
+    let mut daemon = Daemon::start(&dir, &[]);
+    let body = one_cell("square", "CPElide", 2);
+    let first = client::http_request(daemon.addr, "POST", "/v1/sweep", &body).expect("sweep");
+    let (cells, _) = parse_stream(&first);
+    assert_eq!(cells[0].get("cached").and_then(Json::as_bool), Some(false));
+    // Delete the cache file: only the daemon's memo can still answer.
+    std::fs::remove_dir_all(dir.join("cache")).expect("remove the cache");
+    let again = client::http_request(daemon.addr, "POST", "/v1/sweep", &body).expect("sweep");
+    let (cells, done) = parse_stream(&again);
+    assert_eq!(cells[0].get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(done.get("cache_hits").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(row_text(&again), row_text(&first), "memoised row drifted");
+    assert!(
+        !dir.join("cache").exists(),
+        "a memo hit neither reads nor writes the disk cache"
+    );
+    daemon.shutdown();
+
+    // Without a disk cache the daemon memoises nothing: a repeat is
+    // simulated again.
+    let mut daemon = Daemon::start(&tmp("row_memo_off"), &[("CPELIDE_CACHE", "0")]);
+    for _ in 0..2 {
+        let resp = client::http_request(daemon.addr, "POST", "/v1/sweep", &body).expect("sweep");
+        let (cells, _) = parse_stream(&resp);
+        assert_eq!(cells[0].get("cached").and_then(Json::as_bool), Some(false));
+        assert_eq!(row_text(&resp), row_text(&first));
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn a_finished_line_is_sent_while_a_later_cell_still_runs() {
+    let dir = tmp("incremental");
+    let mut daemon = Daemon::start(&dir, &[]);
+    let addr = daemon.addr;
+    let warm = client::http_request(
+        addr,
+        "POST",
+        "/v1/sweep",
+        &one_cell("square", "Baseline", 1),
+    )
+    .expect("warm-up sweep");
+    parse_stream(&warm);
+
+    // [warm cell, heavy cold cell]: the heavy one simulates for about a
+    // second, so the first line must arrive long before the stream ends.
+    let body = r#"{"client":"t","cells":[{"workload":"square","protocol":"Baseline","chiplets":1},{"workload":"sssp","protocol":"HMG","chiplets":7}]}"#;
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("set read timeout");
+    write!(
+        stream,
+        "POST /v1/sweep HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send sweep");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("response head");
+        if line.trim_end().is_empty() {
+            break;
+        }
+    }
+    line.clear();
+    reader.read_line(&mut line).expect("first chunk size");
+    let size = usize::from_str_radix(line.trim(), 16).expect("hex chunk size");
+    let mut chunk = vec![0u8; size + 2];
+    reader.read_exact(&mut chunk).expect("first chunk");
+    let first = json::parse(
+        std::str::from_utf8(&chunk[..size])
+            .expect("UTF-8")
+            .trim_end(),
+    )
+    .expect("first event is JSON");
+    assert_eq!(first.get("index").and_then(Json::as_f64), Some(0.0));
+    assert_eq!(first.get("cached").and_then(Json::as_bool), Some(true));
+
+    let metrics = client::http_request(addr, "GET", "/metrics", "").expect("metrics");
+    let samples = prom::parse(&metrics.body).expect("/metrics parses");
+    let cells = samples
+        .iter()
+        .find(|s| s.name == "cpelide_serve_cells_total")
+        .expect("cells counter")
+        .value;
+    assert_eq!(
+        cells as u64, 2,
+        "the first line must arrive while the heavy cell is unfinished"
+    );
+
+    let mut rest = String::new();
+    reader
+        .read_to_string(&mut rest)
+        .expect("rest of the stream");
+    assert!(rest.contains(r#""index":1,"#), "second event: {rest}");
+    assert!(rest.contains(r#""event":"done""#), "done event: {rest}");
+    daemon.shutdown();
+}
+
+#[test]
+fn hostile_requests_get_their_status_and_the_daemon_survives() {
+    let dir = tmp("hostile");
+    let mut daemon = Daemon::start(&dir, &[]);
+    let addr = daemon.addr;
+
+    // A megabyte of `[` once overflowed a connection thread's stack.
+    let deep = "[".repeat(http::MAX_BODY_BYTES);
+    let resp = client::http_request(addr, "POST", "/v1/sweep", &deep).expect("deep body");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert_eq!(error_code(&resp), "bad_request");
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+
+    let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(http::MAX_LINE_BYTES));
+    let long_header = format!(
+        "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "b".repeat(http::MAX_LINE_BYTES)
+    );
+    let many_headers = format!(
+        "GET /healthz HTTP/1.1\r\n{}\r\n",
+        "X-H: v\r\n".repeat(http::MAX_HEADERS + 1)
+    );
+    for raw in [long_line, long_header, many_headers] {
+        let resp = raw_request(addr, raw.as_bytes());
+        assert_eq!(resp.status, 431, "{}", resp.body);
+        assert_eq!(error_code(&resp), "headers_too_large");
+    }
+
+    // The same daemon still serves a normal sweep.
+    let resp = client::http_request(addr, "POST", "/v1/sweep", &one_cell("square", "HMG", 1))
+        .expect("sweep after hostile input");
+    let (cells, done) = parse_stream(&resp);
+    assert_eq!(cells.len(), 1);
+    assert_eq!(done.get("ok").and_then(Json::as_f64), Some(1.0));
+    daemon.shutdown();
+}
+
+#[test]
+fn a_stalled_client_times_out_without_blocking_others() {
+    let dir = tmp("slowloris");
+    let mut daemon = Daemon::start(&dir, &[]);
+    let addr = daemon.addr;
+
+    // Half a request line, then nothing.
+    let mut stalled = TcpStream::connect(addr).expect("connect stalled client");
+    let stalled_at = Instant::now();
+    stalled.write_all(b"POST /v1/sw").expect("send half a line");
+
+    let resp = client::http_request(addr, "POST", "/v1/sweep", &one_cell("square", "HMG", 2))
+        .expect("a concurrent client is served");
+    let (cells, done) = parse_stream(&resp);
+    assert_eq!(cells.len(), 1);
+    assert_eq!(done.get("ok").and_then(Json::as_f64), Some(1.0));
+
+    // The stalled connection is answered once its request deadline passes.
+    stalled
+        .set_read_timeout(Some(http::REQUEST_TIMEOUT + Duration::from_secs(60)))
+        .expect("set read timeout");
+    let resp = client::read_response(stalled).expect("the stalled client is answered");
+    assert_eq!(resp.status, 408, "{}", resp.body);
+    assert_eq!(error_code(&resp), "request_timeout");
+    assert!(stalled_at.elapsed() >= http::REQUEST_TIMEOUT - Duration::from_secs(1));
+    daemon.shutdown();
+}
+
+#[test]
+fn connections_past_the_cap_get_a_503() {
+    let dir = tmp("connection_cap");
+    let mut daemon = Daemon::start(&dir, &[]);
+    let addr = daemon.addr;
+
+    // Fill every place with an idle connection, then knock once more.
+    let idle: Vec<TcpStream> = (0..serve::MAX_CONNECTIONS)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("connection {i}: {e}")))
+        .collect();
+    let extra = TcpStream::connect(addr).expect("connect past the cap");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set read timeout");
+    let resp = client::read_response(extra).expect("read the refusal");
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    assert_eq!(error_code(&resp), "too_many_connections");
+
+    // Closing the idle connections frees their places.
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let resp = client::http_request(addr, "GET", "/healthz", "").expect("healthz");
+        if resp.status == 200 {
+            break;
+        }
+        assert_eq!(resp.status, 503, "{}", resp.body);
+        assert!(Instant::now() < deadline, "places were never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    daemon.shutdown();
 }

@@ -12,6 +12,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`parse`] and [`validate`] accept. Both
+/// recurse once per level, so without a limit a hostile document (a
+/// megabyte of `[`) would overflow the thread's stack and abort the
+/// process; past this depth they return an error instead.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value assembled programmatically.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -263,7 +269,7 @@ pub fn validate(text: &str) -> Result<(), String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
+    parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -281,7 +287,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let value = read_value(bytes, &mut pos)?;
+    let value = read_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -289,7 +295,19 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
-fn read_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Refuses an array or object opening at `pos` when `depth` arrays and
+/// objects are already open around it and that is [`MAX_DEPTH`] or more.
+fn check_depth(b: &[u8], pos: usize, depth: usize) -> Result<(), String> {
+    if depth >= MAX_DEPTH && matches!(b.get(pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
+    Ok(())
+}
+
+/// Reads the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn read_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    check_depth(b, *pos, depth)?;
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'{') => {
@@ -309,7 +327,7 @@ fn read_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
                 *pos += 1;
                 skip_ws(b, pos);
-                fields.push((key, read_value(b, pos)?));
+                fields.push((key, read_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -331,7 +349,7 @@ fn read_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                items.push(read_value(b, pos)?);
+                items.push(read_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -427,7 +445,10 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
+/// Checks the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
+    check_depth(b, *pos, depth)?;
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'{') => {
@@ -446,7 +467,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
                 }
                 *pos += 1;
                 skip_ws(b, pos);
-                parse_value(b, pos)?;
+                parse_value(b, pos, depth + 1)?;
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -467,7 +488,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
             }
             loop {
                 skip_ws(b, pos);
-                parse_value(b, pos)?;
+                parse_value(b, pos, depth + 1)?;
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -688,6 +709,32 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "{} extra", "\"\\q\""] {
             assert!(parse(bad).is_err(), "accepted malformed: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_in_parse_and_validate() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = nested(MAX_DEPTH);
+        parse(&deepest).expect("MAX_DEPTH levels parse");
+        validate(&deepest).expect("MAX_DEPTH levels validate");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        for bad in [nested(MAX_DEPTH + 1), objects, "[".repeat(1 << 20)] {
+            let e = parse(&bad).expect_err("too deep for parse");
+            assert!(e.contains("nesting deeper than 128"), "{e}");
+            let e = validate(&bad).expect_err("too deep for validate");
+            assert!(e.contains("nesting deeper than 128"), "{e}");
+        }
+        // A megabyte of `[` on a thread with a small stack returns an error
+        // instead of overflowing the stack.
+        let small_stack = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| parse(&"[".repeat(1 << 20)).is_err())
+            .expect("spawn");
+        assert!(small_stack.join().expect("no stack overflow"));
     }
 
     #[test]

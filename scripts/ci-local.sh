@@ -95,6 +95,15 @@ echo "== Daemon smoke (serve --smoke hermetic self-test) =="
 # cleanly over the wire. See DESIGN.md §16.
 cargo run --release -p cpelide-bench --bin serve -- --smoke
 
+echo "== Benchmark correctness gate on served rows (serve-warm) =="
+# A short serve-warm run of the repository benchmark: every served row is
+# compared byte for byte with committed results/campaign.json and the
+# daemon's /metrics reconciled with the client; the result line (the last
+# line of output) must report "correct":true.
+python3 perfbench/run.py --workload serve-warm --seed 1 --seconds 2 --trace 0 \
+  > results/serve-warm.out
+tail -n 1 results/serve-warm.out | grep -q '"correct":true'
+
 echo "== Bench runner (fixed iterations, JSON report) =="
 CHIPLET_BENCH_ITERS=3 CHIPLET_BENCH_WARMUP=1 cargo bench --workspace
 
