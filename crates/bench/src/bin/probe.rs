@@ -1,5 +1,7 @@
 //! Diagnostic deep-dive for one workload: every protocol's cycles, L2 hit
-//! rate, traffic split, sync costs and energy at a given chiplet count,
+//! rate, traffic split, sync costs and energy (total, plus one
+//! L1I/L1D/LDS/L2/L3/NOC/DRAM line — the Figure 9 component split) at a
+//! given chiplet count,
 //! plus the full per-run JSON export (sync counters, histograms,
 //! per-boundary event log) written to `results/probe.json` and a
 //! Prometheus exposition in `results/probe.prom`.
@@ -109,6 +111,18 @@ fn main() {
             m.sync.invalidated_lines,
             m.sync.flushed_lines,
             m.sync.remote_bytes,
+        );
+        let e = &m.energy;
+        println!(
+            "            energy uJ: L1I {:.1} / L1D {:.1} / LDS {:.1} / L2 {:.1} / \
+             L3 {:.1} / NOC {:.1} / DRAM {:.1}",
+            e.l1i / 1e6,
+            e.l1d / 1e6,
+            e.lds / 1e6,
+            e.l2 / 1e6,
+            e.l3 / 1e6,
+            e.noc / 1e6,
+            e.dram / 1e6,
         );
         if let Some(t) = &m.table {
             println!(

@@ -1,13 +1,15 @@
-//! Regenerates the paper-vs-measured blocks of EXPERIMENTS.md from
+//! Regenerates the paper-vs-measured blocks of EXPERIMENTS.md and the
+//! per-workload figure tables of `results/figures.txt` from
 //! `results/campaign.json` (see `cpelide_bench::report` for the block
 //! definitions and marker syntax).
 //!
 //! Usage:
 //! - `cargo run --release -p cpelide-bench --bin report` — rewrite the
-//!   generated blocks in place.
+//!   generated blocks in place and re-render `figures.txt`.
 //! - `cargo run --release -p cpelide-bench --bin report -- --check` — exit
-//!   1 if the committed document is out of sync with the committed
-//!   campaign results (the CI docs-drift gate), touching nothing.
+//!   1 if the committed document or `figures.txt` is out of sync with the
+//!   committed campaign results (the CI docs-drift gate), touching
+//!   nothing.
 //! - `cargo run --release -p cpelide-bench --bin report -- --obs` — print
 //!   the host-observability summary (phase breakdown, cache counters,
 //!   fleet utilization) from `results/campaign.prom` to stdout, plus the
@@ -22,8 +24,8 @@
 //!   `CPELIDE_BLESS_BENCH=1`, rewrite the baseline from the fresh report
 //!   instead of checking.
 //!
-//! Environment: `CPELIDE_RESULTS_DIR` locates `campaign.json` and the
-//! bench reports; `CPELIDE_EXPERIMENTS` overrides the EXPERIMENTS.md path
+//! Environment: `CPELIDE_RESULTS_DIR` locates `campaign.json`,
+//! `figures.txt` and the bench reports; `CPELIDE_EXPERIMENTS` overrides the EXPERIMENTS.md path
 //! (tests); `CPELIDE_BLESS_BENCH=1` re-blesses the perf baseline.
 //! Exit codes: 0 in sync / regenerated / gate passed, 1 drift or perf
 //! regression detected, 2 usage or I/O.
@@ -31,8 +33,10 @@
 use chiplet_harness::json;
 use cpelide_bench::perfgate;
 use cpelide_bench::report::{
-    campaign_path, experiments_path, generate_blocks, obs_section, oracle_headroom_section, splice,
+    campaign_path, experiments_path, figures_path, generate_blocks, obs_section,
+    oracle_headroom_section, render_figures, splice,
 };
+use std::path::PathBuf;
 
 fn fail(msg: &str) -> ! {
     eprintln!("report: {msg}");
@@ -145,37 +149,45 @@ fn main() {
         ))
     });
     let blocks = generate_blocks(&campaign).unwrap_or_else(|e| fail(&e));
-
     let doc_path = experiments_path();
     let doc = std::fs::read_to_string(&doc_path)
         .unwrap_or_else(|e| fail(&format!("cannot read {} ({e})", doc_path.display())));
-    let updated = splice(&doc, &blocks).unwrap_or_else(|e| fail(&e));
+    let updated_doc = splice(&doc, &blocks).unwrap_or_else(|e| fail(&e));
+    let figures = render_figures(&campaign).unwrap_or_else(|e| fail(&e));
 
-    if check {
-        if updated == doc {
+    // Each generated file with its fresh content; a missing figures.txt
+    // reads as empty, so it counts as drift.
+    let outputs: [(PathBuf, String, String); 2] = [
+        (doc_path, doc, updated_doc),
+        (
+            figures_path(),
+            std::fs::read_to_string(figures_path()).unwrap_or_default(),
+            figures,
+        ),
+    ];
+    let mut drifted = false;
+    for (path, committed, fresh) in &outputs {
+        if committed == fresh {
             println!(
                 "report: {} is in sync with {}",
-                doc_path.display(),
+                path.display(),
                 campaign_file.display()
             );
-        } else {
+        } else if check {
             eprintln!(
                 "report: {} is OUT OF SYNC with {}; \
                  run `cargo run --release -p cpelide-bench --bin report` and commit",
-                doc_path.display(),
+                path.display(),
                 campaign_file.display()
             );
-            std::process::exit(1);
+            drifted = true;
+        } else {
+            std::fs::write(path, fresh)
+                .unwrap_or_else(|e| fail(&format!("cannot write {} ({e})", path.display())));
+            println!("report: regenerated {}", path.display());
         }
-    } else if updated == doc {
-        println!("report: {} already up to date", doc_path.display());
-    } else {
-        std::fs::write(&doc_path, &updated)
-            .unwrap_or_else(|e| fail(&format!("cannot write {} ({e})", doc_path.display())));
-        println!(
-            "report: regenerated {} block(s) in {}",
-            blocks.len(),
-            doc_path.display()
-        );
+    }
+    if drifted {
+        std::process::exit(1);
     }
 }

@@ -3,11 +3,12 @@
 //! out across the `chiplet_harness::fleet` pool with content-hash result
 //! caching.
 //!
-//! This module replaces the serial per-figure loops for sweep-shaped
-//! work: `--bin campaign` enumerates every cell, runs them across
+//! `--bin campaign` enumerates every cell, runs them across
 //! `CPELIDE_JOBS` workers (cache hits are parsed instead of re-simulated)
 //! and writes `results/campaign.json` — the single machine-readable
-//! source of truth the `report` binary regenerates EXPERIMENTS.md from.
+//! source of truth the `report` binary regenerates EXPERIMENTS.md and
+//! `results/figures.txt` from. `--bin studies` runs its off-grid Table 1
+//! cells through [`run`] as well.
 //!
 //! Determinism contract: the cell list, each cell's metrics, the summary
 //! and the rendered report are all independent of the worker count and of
@@ -23,9 +24,9 @@ use chiplet_harness::fleet::{
 };
 use chiplet_harness::json::{self, Json};
 use chiplet_sim::config::SimConfig;
-use chiplet_sim::experiments::Cell;
 use chiplet_sim::metrics::{geomean, RunHistograms};
 use chiplet_sim::phase::PhaseProfile;
+use chiplet_sim::Cell;
 use chiplet_workloads::{ReuseClass, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -1,5 +1,5 @@
-//! Shared reporting helpers for the figure-regeneration binaries and
-//! the wall-clock benches.
+//! Shared reporting helpers for the artifact binaries and the
+//! wall-clock benches.
 //!
 //! The evaluation sweep runs in one of two modes:
 //!
@@ -7,6 +7,7 @@
 //!   whole cell list, fans it out across the `chiplet_harness::fleet`
 //!   worker pool with content-hash caching, writes
 //!   `results/campaign.json`, and exits. [`report`] (`--bin report`)
+//!   renders every grid-shaped figure into `results/figures.txt` and
 //!   regenerates the paper-vs-measured tables in EXPERIMENTS.md from
 //!   that document.
 //! * **Service** ([`serve`], `--bin serve`): a long-running multi-tenant
@@ -16,10 +17,12 @@
 //!   Both modes share the `results/cache/` `DiskCache`, so cells run in
 //!   one mode are cache hits in the other.
 //!
-//! Each paper artifact additionally keeps a dedicated narrow binary
-//! (`cargo run --release -p cpelide-bench --bin fig8`, etc.); `--bin all`
-//! regenerates everything. Every binary honours these environment
-//! variables (the full table lives in README.md):
+//! The work outside the grid — Tables I–III, the §IV-C write-back
+//! ablation, the §VI scaling, driver and beyond-7-chiplet studies and
+//! the sensitivity sweeps — is `--bin studies`, which writes
+//! `results/studies.txt` and `results/studies.json`; its Table 1 cells go
+//! through the same [`campaign::run`] and cache. Every binary honours
+//! these environment variables (the full table lives in README.md):
 //!
 //! - `CPELIDE_SMOKE=1` shrinks the run to a tiny configuration (two
 //!   workloads, fewer chiplet counts) so CI can smoke-run every artifact.
@@ -36,7 +39,7 @@
 //! CPElide run, loadable at <https://ui.perfetto.dev>.
 
 // chiplet-check: allow-file(no-panic) — artifact writers abort by contract:
-// a malformed or unwritable report must kill the figure run loudly rather
+// a malformed or unwritable report must kill the artifact run loudly rather
 // than let a silent skip masquerade as regenerated results.
 
 pub mod campaign;
@@ -46,8 +49,7 @@ pub mod serve;
 pub mod telemetry;
 
 use chiplet_harness::json::{self, Json};
-use chiplet_sim::experiments::Fig8Row;
-use chiplet_workloads::{ReuseClass, Workload};
+use chiplet_workloads::Workload;
 use std::path::PathBuf;
 
 /// True when `CPELIDE_SMOKE=1`: binaries run a tiny configuration.
@@ -117,7 +119,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Validates `report` and writes it to `<results_dir>/<artifact>.json`,
-/// returning the path. Every figure binary funnels its machine-readable
+/// returning the path. Every artifact binary funnels its machine-readable
 /// output through here, so a malformed document can never land on disk.
 pub fn write_report(artifact: &str, report: &Json) -> PathBuf {
     let rendered = report.render();
@@ -166,70 +168,9 @@ pub fn rule(width: usize) -> String {
     "-".repeat(width)
 }
 
-/// Formats a normalized value (1.0 = Baseline) to two decimals.
-pub fn norm(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-/// Renders the Figure 8 rows as a fixed-width table grouped by reuse class.
-pub fn render_fig8(rows: &[Fig8Row], chiplets: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Figure 8 — normalized performance vs Baseline ({chiplets} chiplets)\n"
-    ));
-    out.push_str(&format!(
-        "{:<16} {:>9} {:>9}\n",
-        "workload", "CPElide", "HMG"
-    ));
-    out.push_str(&rule(36));
-    out.push('\n');
-    for class in [ReuseClass::ModerateHigh, ReuseClass::Low] {
-        out.push_str(&format!("[{class} inter-kernel reuse]\n"));
-        for r in rows.iter().filter(|r| r.class == class) {
-            out.push_str(&format!(
-                "{:<16} {:>9} {:>9}\n",
-                r.workload,
-                norm(r.cpelide),
-                norm(r.hmg)
-            ));
-        }
-    }
-    out
-}
-
-/// Simple aligned two-column list.
-pub fn kv(label: &str, value: impl std::fmt::Display) -> String {
-    format!("{label:<44} {value}\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_fig8_groups_by_class() {
-        let rows = vec![
-            Fig8Row {
-                workload: "square".into(),
-                class: ReuseClass::ModerateHigh,
-                cpelide: 1.3,
-                hmg: 0.9,
-            },
-            Fig8Row {
-                workload: "btree".into(),
-                class: ReuseClass::Low,
-                cpelide: 1.0,
-                hmg: 0.85,
-            },
-        ];
-        let s = render_fig8(&rows, 4);
-        assert!(s.contains("square"));
-        assert!(s.contains("btree"));
-        assert!(s.contains("1.30"));
-        let hi = s.find("moderate-high").unwrap();
-        let lo = s.find("low inter-kernel").unwrap();
-        assert!(hi < lo);
-    }
 
     #[test]
     fn workspace_root_holds_the_workspace_manifest() {
@@ -251,8 +192,6 @@ mod tests {
 
     #[test]
     fn helpers_format() {
-        assert_eq!(norm(1.234), "1.23");
         assert_eq!(rule(3), "---");
-        assert!(kv("a", 1).starts_with('a'));
     }
 }

@@ -1,12 +1,18 @@
 //! The docs generator: turns `results/campaign.json` into the
-//! paper-vs-measured blocks of EXPERIMENTS.md.
+//! paper-vs-measured blocks of EXPERIMENTS.md and the per-workload figure
+//! tables of `results/figures.txt`.
 //!
 //! Generated content lives between `<!-- generated: NAME -->` /
 //! `<!-- /generated: NAME -->` marker pairs; everything outside the
 //! markers (analysis, deviations, per-app spot checks) is hand-written
-//! and untouched. `--bin report` rewrites the blocks in place; `--bin
-//! report -- --check` fails when the committed document no longer matches
-//! the committed campaign results — the CI docs-drift gate.
+//! and untouched. `--bin report` rewrites the blocks in place and
+//! re-renders `figures.txt`; `--bin report -- --check` fails when either
+//! committed file no longer matches the committed campaign results — the
+//! CI docs-drift gate.
+//!
+//! Every per-workload number in `figures.txt` is read from a campaign
+//! row, and every geomean from the `summary` that
+//! [`crate::campaign::run`] wrote, so the aggregation exists once.
 //!
 //! Verdicts are mechanical so they cannot editorialize: a measured delta
 //! within five percentage points of the paper's is a `match`; otherwise
@@ -39,6 +45,11 @@ pub fn campaign_path() -> PathBuf {
     crate::results_dir().join("campaign.json")
 }
 
+/// Where the rendered figure tables live: `<results_dir>/figures.txt`.
+pub fn figures_path() -> PathBuf {
+    crate::results_dir().join("figures.txt")
+}
+
 fn get<'a>(j: &'a Json, path: &[&str]) -> Result<&'a Json, String> {
     let mut cur = j;
     for key in path {
@@ -56,7 +67,7 @@ fn getf(j: &Json, path: &[&str]) -> Result<f64, String> {
 }
 
 /// `+13.3 %` — signed percentage with one decimal, from a fraction.
-fn pct(x: f64) -> String {
+pub fn pct(x: f64) -> String {
     format!("{:+.1} %", x * 100.0)
 }
 
@@ -103,13 +114,9 @@ pub fn summary_of(campaign: &Json) -> Result<&Json, String> {
 /// Returns a description of the first missing or mistyped field.
 pub fn generate_blocks(campaign: &Json) -> Result<Vec<(String, String)>, String> {
     let summary = summary_of(campaign)?;
-    let fig8 = get(summary, &["fig8"])?
-        .as_arr()
-        .ok_or("campaign.json `summary.fig8` is not an array")?;
-    let at4 = fig8
-        .iter()
-        .find(|e| e.get("chiplets").and_then(Json::as_f64) == Some(4.0))
-        .ok_or("campaign.json has no fig8 entry for 4 chiplets")?;
+    let grid = Grid::of(campaign)?;
+    let fig8 = fig8_entries(summary)?;
+    let at4 = fig8_entry(summary, FIG_CHIPLETS)?;
 
     let mut blocks = Vec::new();
 
@@ -194,6 +201,24 @@ pub fn generate_blocks(campaign: &Json) -> Result<Vec<(String, String)>, String>
         ),
     ));
 
+    // ---- Figure 10 remote traffic ---------------------------------------
+    let (hmg_more, cpelide_more, apps) = remote_counts(&grid)?;
+    blocks.push((
+        "fig10".to_owned(),
+        format!(
+            "Paper: HMG carries +23 % more remote traffic than CPElide (directory\n\
+             invalidations plus remote caching). Measured: HMG carries more remote\n\
+             traffic than CPElide on **{hmg_more} of {apps}** apps and CPElide more on\n\
+             {cpelide_more} ({} equal), so {}.",
+            apps - hmg_more - cpelide_more,
+            if hmg_more > cpelide_more {
+                "the direction matches"
+            } else {
+                "the paper's remote-traffic claim does not reproduce"
+            }
+        ),
+    ));
+
     // ---- §III-A table occupancy ----------------------------------------
     let live = getf(summary, &["occupancy", "max_live_entries"])? as u64;
     let evictions = getf(summary, &["occupancy", "evictions"])? as u64;
@@ -220,6 +245,331 @@ pub fn generate_blocks(campaign: &Json) -> Result<Vec<(String, String)>, String>
     ));
 
     Ok(blocks)
+}
+
+/// The suite every paper figure aggregates (the multi-stream suite is
+/// its own §VI section).
+const MAIN: &str = "main";
+
+/// The chiplet count of the single-count figures (2, 9, 10, §III-A, §VI).
+const FIG_CHIPLETS: u64 = 4;
+
+/// The `summary.fig8` entries, one per enumerated chiplet count.
+fn fig8_entries(summary: &Json) -> Result<&[Json], String> {
+    get(summary, &["fig8"])?
+        .as_arr()
+        .ok_or_else(|| "campaign.json `summary.fig8` is not an array".to_owned())
+}
+
+/// The `summary.fig8` entry for `chiplets`.
+fn fig8_entry(summary: &Json, chiplets: u64) -> Result<&Json, String> {
+    fig8_entries(summary)?
+        .iter()
+        .find(|e| e.get("chiplets").and_then(Json::as_f64) == Some(chiplets as f64))
+        .ok_or_else(|| format!("campaign.json has no fig8 entry for {chiplets} chiplets"))
+}
+
+/// One campaign row's identity and metrics.
+struct GridRow<'a> {
+    suite: &'a str,
+    workload: &'a str,
+    class: &'a str,
+    protocol: &'a str,
+    chiplets: f64,
+    metrics: &'a Json,
+}
+
+/// The rows of a campaign document, looked up by cell identity.
+struct Grid<'a> {
+    rows: Vec<GridRow<'a>>,
+}
+
+impl<'a> Grid<'a> {
+    fn of(campaign: &'a Json) -> Result<Self, String> {
+        let cells = get(campaign, &["cells"])?
+            .as_arr()
+            .ok_or("campaign.json `cells` is not an array")?;
+        let text = |row: &'a Json, key: &str| -> Result<&'a str, String> {
+            get(row, &[key])?
+                .as_str()
+                .ok_or_else(|| format!("campaign.json cell `{key}` is not a string"))
+        };
+        let rows = cells
+            .iter()
+            .map(|row| {
+                Ok(GridRow {
+                    suite: text(row, "suite")?,
+                    workload: text(row, "workload")?,
+                    class: text(row, "class")?,
+                    protocol: text(row, "protocol")?,
+                    chiplets: getf(row, &["chiplets"])?,
+                    metrics: get(row, &["metrics"])?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Grid { rows })
+    }
+
+    /// `(workload, class)` for every workload of `suite`, in row order.
+    fn workloads(&self, suite: &str) -> Vec<(&'a str, &'a str)> {
+        let mut seen: Vec<(&str, &str)> = Vec::new();
+        for r in self.rows.iter().filter(|r| r.suite == suite) {
+            if !seen.iter().any(|(w, _)| *w == r.workload) {
+                seen.push((r.workload, r.class));
+            }
+        }
+        seen
+    }
+
+    /// The metric at `path` (e.g. `["traffic", "remote_flits"]`) of one cell.
+    fn num(
+        &self,
+        suite: &str,
+        workload: &str,
+        protocol: &str,
+        chiplets: u64,
+        path: &[&str],
+    ) -> Result<f64, String> {
+        let row = self
+            .rows
+            .iter()
+            .find(|r| {
+                r.suite == suite
+                    && r.workload == workload
+                    && r.protocol == protocol
+                    && r.chiplets == chiplets as f64
+            })
+            .ok_or_else(|| {
+                format!("campaign.json has no {suite} cell {workload}:{protocol}:{chiplets}")
+            })?;
+        getf(row.metrics, path)
+    }
+}
+
+/// Figure 10's remote-traffic comparison at 4 chiplets: on how many main
+/// workloads HMG carries more remote flits than CPElide, on how many
+/// CPElide carries more, and how many workloads there are.
+fn remote_counts(grid: &Grid) -> Result<(usize, usize, usize), String> {
+    let main = grid.workloads(MAIN);
+    let (mut hmg_more, mut cpelide_more) = (0, 0);
+    for &(w, _) in &main {
+        let remote = |p| grid.num(MAIN, w, p, FIG_CHIPLETS, &["traffic", "remote_flits"]);
+        let (c, h) = (remote("CPElide")?, remote("HMG")?);
+        if h > c {
+            hmg_more += 1;
+        } else if c > h {
+            cpelide_more += 1;
+        }
+    }
+    Ok((hmg_more, cpelide_more, main.len()))
+}
+
+/// `label` padded to the geomean column, then `value` as a signed delta.
+fn geo_line(label: &str, value: f64) -> String {
+    format!("{label:<44} {}\n", pct(value - 1.0))
+}
+
+/// A figure title followed by its column header and rule.
+fn table_head(title: &str, columns: &str) -> String {
+    format!("{title}\n{columns}\n{}\n", crate::rule(columns.len()))
+}
+
+/// Per-workload CPElide and HMG speedups over Baseline for one suite at
+/// one chiplet count, grouped by reuse class in row order.
+fn speedup_table(grid: &Grid, suite: &str, chiplets: u64, title: &str) -> Result<String, String> {
+    let mut out = table_head(
+        title,
+        &format!("{:<16} {:>9} {:>9}", "workload", "CPElide", "HMG"),
+    );
+    let workloads = grid.workloads(suite);
+    let mut classes: Vec<&str> = Vec::new();
+    for &(_, class) in &workloads {
+        if !classes.contains(&class) {
+            classes.push(class);
+        }
+    }
+    for class in classes {
+        out.push_str(&format!("[{class} inter-kernel reuse]\n"));
+        for &(w, _) in workloads.iter().filter(|(_, c)| *c == class) {
+            let cycles = |p| grid.num(suite, w, p, chiplets, &["cycles"]);
+            let base = cycles("Baseline")?;
+            out.push_str(&format!(
+                "{w:<16} {:>9.2} {:>9.2}\n",
+                base / cycles("CPElide")?,
+                base / cycles("HMG")?
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// Figure 8 for one `summary.fig8` entry: the per-workload table, then
+/// that entry's geomeans.
+fn fig8_section(grid: &Grid, entry: &Json) -> Result<String, String> {
+    let chiplets = getf(entry, &["chiplets"])? as u64;
+    let mut out = speedup_table(
+        grid,
+        MAIN,
+        chiplets,
+        &format!("Figure 8 — performance vs Baseline ({chiplets} chiplets)"),
+    )?;
+    for (label, key) in [
+        ("geomean CPElide vs Baseline", "cpelide_vs_baseline"),
+        (
+            "geomean CPElide vs Baseline (mod/high reuse)",
+            "cpelide_vs_baseline_reuse",
+        ),
+        ("geomean HMG vs Baseline", "hmg_vs_baseline"),
+        ("geomean CPElide vs HMG", "cpelide_vs_hmg"),
+    ] {
+        out.push_str(&geo_line(label, getf(entry, &[key])?));
+    }
+    Ok(out)
+}
+
+/// Renders Figure 8 at `chiplets` from any campaign-format document (the
+/// committed campaign, or the `studies` binary's beyond-7 run).
+///
+/// # Errors
+///
+/// Returns a description of the first missing cell or field.
+pub fn render_fig8(campaign: &Json, chiplets: u64) -> Result<String, String> {
+    let summary = summary_of(campaign)?;
+    fig8_section(&Grid::of(campaign)?, fig8_entry(summary, chiplets)?)
+}
+
+/// Renders `results/figures.txt`: the per-workload tables of Figure 2,
+/// Figure 8 at every enumerated chiplet count, Figures 9 and 10, §III-A
+/// table occupancy and the §VI multi-stream study.
+///
+/// # Errors
+///
+/// Returns a description of the first missing cell or field.
+pub fn render_figures(campaign: &Json) -> Result<String, String> {
+    let summary = summary_of(campaign)?;
+    let grid = Grid::of(campaign)?;
+    let main = grid.workloads(MAIN);
+    let n = FIG_CHIPLETS;
+    let mut out = String::from(
+        "Paper figures rendered from results/campaign.json by `report`.\n\
+         Per-workload values come from the campaign rows; every geomean is the\n\
+         campaign summary's.\n\n",
+    );
+
+    out.push_str(&table_head(
+        &format!("Figure 2 — performance loss vs an equivalent monolithic GPU ({n} chiplets)"),
+        &format!("{:<16} {:>9}", "workload", "loss"),
+    ));
+    for &(w, _) in &main {
+        let cycles = |p| grid.num(MAIN, w, p, n, &["cycles"]);
+        let loss = cycles("Baseline")? / cycles("Monolithic")? - 1.0;
+        out.push_str(&format!("{w:<16} {:>7.1} %\n", loss * 100.0));
+    }
+    out.push_str(&format!(
+        "{:<16} {:>7.1} %  (paper: 54 %)\n\n",
+        "average",
+        getf(summary, &["fig2", "avg_loss"])? * 100.0
+    ));
+
+    for entry in fig8_entries(summary)? {
+        out.push_str(&fig8_section(&grid, entry)?);
+        out.push('\n');
+    }
+
+    out.push_str(&table_head(
+        &format!(
+            "Figure 9 — memory-subsystem energy vs Baseline ({n} chiplets; \
+             per-component split: `probe <workload>`)"
+        ),
+        &format!("{:<16} {:>9} {:>9}", "workload", "CPElide", "HMG"),
+    ));
+    for &(w, _) in &main {
+        let energy = |p| grid.num(MAIN, w, p, n, &["energy_total_uj"]);
+        let base = energy("Baseline")?;
+        out.push_str(&format!(
+            "{w:<16} {:>9.3} {:>9.3}\n",
+            energy("CPElide")? / base,
+            energy("HMG")? / base
+        ));
+    }
+    for (label, key) in [
+        ("geomean CPElide vs Baseline", "cpelide_vs_baseline"),
+        ("geomean HMG vs Baseline", "hmg_vs_baseline"),
+        ("geomean CPElide vs HMG", "cpelide_vs_hmg"),
+    ] {
+        out.push_str(&geo_line(label, getf(summary, &["energy", key])?));
+    }
+    out.push('\n');
+
+    out.push_str(&table_head(
+        &format!(
+            "Figure 10 — interconnect traffic vs Baseline ({n} chiplets; \
+             split L1-L2/L2-L3/remote)"
+        ),
+        &format!(
+            "{:<16} {:>9} {:>9}  {:<14}  {}",
+            "workload", "CPElide", "HMG", "CPElide split", "HMG split"
+        ),
+    ));
+    for &(w, _) in &main {
+        let flits = |p| -> Result<[f64; 3], String> {
+            let f = |k| grid.num(MAIN, w, p, n, &["traffic", k]);
+            Ok([f("l1_l2_flits")?, f("l2_l3_flits")?, f("remote_flits")?])
+        };
+        let base: f64 = flits("Baseline")?.iter().sum();
+        let [c, h] = [flits("CPElide")?, flits("HMG")?].map(|f| f.map(|x| x / base));
+        let split = |f: [f64; 3]| format!("{:.2}/{:.2}/{:.2}", f[0], f[1], f[2]);
+        out.push_str(&format!(
+            "{w:<16} {:>9.3} {:>9.3}  {:<14}  {}\n",
+            c.iter().sum::<f64>(),
+            h.iter().sum::<f64>(),
+            split(c),
+            split(h)
+        ));
+    }
+    for (label, key) in [
+        ("geomean CPElide vs Baseline", "cpelide_vs_baseline"),
+        ("geomean HMG vs Baseline", "hmg_vs_baseline"),
+        ("geomean CPElide vs HMG", "cpelide_vs_hmg"),
+        ("geomean CPElide L2-L3 vs HMG", "l2l3_cpelide_vs_hmg"),
+    ] {
+        out.push_str(&geo_line(label, getf(summary, &["traffic", key])?));
+    }
+    let (hmg_more, cpelide_more, apps) = remote_counts(&grid)?;
+    out.push_str(&format!(
+        "remote flits: HMG > CPElide on {hmg_more} of {apps} apps, \
+         CPElide > HMG on {cpelide_more}\n\n"
+    ));
+
+    out.push_str(&table_head(
+        &format!("§III-A — Chiplet Coherence Table occupancy (CPElide, {n} chiplets)"),
+        &format!("{:<16} {:>9} {:>10}", "workload", "max live", "evictions"),
+    ));
+    for &(w, _) in &main {
+        let table = |k| grid.num(MAIN, w, "CPElide", n, &["table", k]);
+        out.push_str(&format!(
+            "{w:<16} {:>9} {:>10}\n",
+            table("max_live_entries")?,
+            table("evictions")?
+        ));
+    }
+    out.push_str(&format!(
+        "suite: at most {} live entries, {} evictions (64-entry table; paper: up to 11)\n\n",
+        getf(summary, &["occupancy", "max_live_entries"])?,
+        getf(summary, &["occupancy", "evictions"])?
+    ));
+
+    out.push_str(&speedup_table(
+        &grid,
+        "multistream",
+        n,
+        &format!("§VI — multi-stream performance vs Baseline ({n} chiplets)"),
+    )?);
+    out.push_str(&geo_line(
+        "geomean CPElide vs HMG",
+        getf(summary, &["multistream", "cpelide_vs_hmg"])?,
+    ));
+    Ok(out)
 }
 
 /// Renders the `report --obs` summary from a `campaign.prom` exposition:
@@ -457,12 +807,68 @@ mod tests {
             .with("low_reuse_min_speedup", 0.98)
     }
 
+    fn row(suite: &str, workload: &str, class: &str, protocol: &str, n: u64, cycles: f64) -> Json {
+        let remote: u64 = match (workload, protocol) {
+            ("alpha", "HMG") | ("beta", "CPElide") => 20,
+            _ => 0,
+        };
+        let mut metrics = Json::object()
+            .with("cycles", cycles)
+            .with("energy_total_uj", cycles / 100.0)
+            .with(
+                "traffic",
+                Json::object()
+                    .with("l1_l2_flits", 50u64)
+                    .with("l2_l3_flits", 30u64)
+                    .with("remote_flits", remote),
+            );
+        if protocol == "CPElide" {
+            metrics.set(
+                "table",
+                Json::object()
+                    .with("max_live_entries", 3u64)
+                    .with("evictions", 0u64),
+            );
+        }
+        Json::object()
+            .with("workload", workload)
+            .with("class", class)
+            .with("suite", suite)
+            .with("protocol", protocol)
+            .with("chiplets", n)
+            .with("metrics", metrics)
+    }
+
+    /// Two main workloads (one per reuse class) at 2 and 4 chiplets, their
+    /// monolithic cells, and one multi-stream workload. HMG carries more
+    /// remote traffic on alpha, CPElide on beta.
+    fn sample_cells() -> Vec<Json> {
+        let protocols = ["Baseline", "CPElide", "HMG"];
+        let mut cells = Vec::new();
+        for n in [2, 4] {
+            for (w, class, cycles) in [
+                ("alpha", "moderate-high", [130.0, 100.0, 125.0]),
+                ("beta", "low", [100.0, 100.0, 110.0]),
+            ] {
+                for (p, c) in protocols.into_iter().zip(cycles) {
+                    cells.push(row("main", w, class, p, n, c));
+                }
+            }
+        }
+        cells.push(row("main", "alpha", "moderate-high", "Monolithic", 4, 65.0));
+        cells.push(row("main", "beta", "low", "Monolithic", 4, 80.0));
+        for (p, c) in protocols.into_iter().zip([120.0, 100.0, 108.0]) {
+            cells.push(row("multistream", "gamma-2s", "moderate-high", p, 4, c));
+        }
+        cells
+    }
+
     fn sample_campaign() -> Json {
         Json::object()
             .with("schema", SCHEMA)
             .with("model_revision", "test")
             .with("mode", "full")
-            .with("cells", Json::Arr(vec![]))
+            .with("cells", Json::Arr(sample_cells()))
             .with(
                 "summary",
                 Json::object()
@@ -519,7 +925,14 @@ mod tests {
         let names: Vec<&str> = blocks.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
-            ["headline", "fig2", "fig8-trend", "occupancy", "multistream"]
+            [
+                "headline",
+                "fig2",
+                "fig8-trend",
+                "fig10",
+                "occupancy",
+                "multistream"
+            ]
         );
         let headline = &blocks[0].1;
         assert!(headline.contains("**+13.3 %** | match"), "{headline}");
@@ -527,8 +940,74 @@ mod tests {
         assert!(headline.contains("min 0.98×) | match"));
         assert!(blocks[1].1.contains("**81 % average**"));
         assert!(blocks[2].1.contains("+13.3 % (4)"));
-        assert!(blocks[3].1.contains("**7 live entries**"));
-        assert!(blocks[4].1.contains("**+7.8 %**"));
+        assert!(
+            blocks[3]
+                .1
+                .contains("on **1 of 2** apps and CPElide more on\n1 (0 equal)"),
+            "{}",
+            blocks[3].1
+        );
+        assert!(blocks[3].1.contains("does not reproduce"));
+        assert!(blocks[4].1.contains("**7 live entries**"));
+        assert!(blocks[5].1.contains("**+7.8 %**"));
+    }
+
+    #[test]
+    fn figures_render_rows_and_summary_geomeans() {
+        let out = render_figures(&sample_campaign()).expect("renders");
+        for line in [
+            "alpha              100.0 %",
+            "beta                25.0 %",
+            "average             81.0 %  (paper: 54 %)",
+            "Figure 8 — performance vs Baseline (2 chiplets)",
+            "alpha                 1.30      1.04",
+            "beta                  1.00      0.91",
+            "geomean CPElide vs HMG                       +9.2 %",
+            "alpha                0.769     0.962",
+            "alpha                1.000     1.250  0.62/0.38/0.00  0.62/0.38/0.25",
+            "geomean CPElide L2-L3 vs HMG                 -49.0 %",
+            "remote flits: HMG > CPElide on 1 of 2 apps, CPElide > HMG on 1",
+            "alpha                    3          0",
+            "suite: at most 7 live entries, 0 evictions",
+            "gamma-2s              1.20      1.11",
+            "geomean CPElide vs HMG                       +7.8 %",
+        ] {
+            assert!(out.contains(line), "missing {line:?} in\n{out}");
+        }
+        let high = out
+            .find("[moderate-high inter-kernel reuse]")
+            .expect("high");
+        let low = out.find("[low inter-kernel reuse]").expect("low");
+        assert!(high < low, "classes render in row order");
+        assert!(out.contains("Figure 8 — performance vs Baseline (4 chiplets)"));
+        let fig8 = render_fig8(&sample_campaign(), 2).expect("renders");
+        assert!(fig8.starts_with("Figure 8 — performance vs Baseline (2 chiplets)\n"));
+        assert!(out.contains(&fig8), "figures.txt embeds the same table");
+        let err = render_fig8(&sample_campaign(), 8).expect_err("no 8-chiplet entry");
+        assert!(err.contains("8 chiplets"), "{err}");
+    }
+
+    #[test]
+    fn figures_name_the_missing_cell() {
+        let mut cells = sample_cells();
+        cells.retain(|c| c.get("protocol").and_then(Json::as_str) != Some("Monolithic"));
+        let doc = sample_campaign().with("cells", Json::Arr(cells));
+        let err = render_figures(&doc).expect_err("must fail");
+        assert!(err.contains("alpha:Monolithic:4"), "{err}");
+    }
+
+    #[test]
+    fn figures_render_the_committed_campaign() {
+        // `results/figures.txt` is derived from `results/campaign.json`
+        // alone: a stale render or a hand edit fails here, as in CI's
+        // `report --check`.
+        let dir = crate::workspace_root().join("results");
+        let read = |name: &str| {
+            std::fs::read_to_string(dir.join(name))
+                .unwrap_or_else(|e| panic!("committed results/{name}: {e}"))
+        };
+        let doc = chiplet_harness::json::parse(&read("campaign.json")).expect("campaign parses");
+        assert_eq!(render_figures(&doc).expect("renders"), read("figures.txt"));
     }
 
     #[test]

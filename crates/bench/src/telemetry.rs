@@ -241,7 +241,7 @@ mod tests {
             .iter()
             .map(|&p| {
                 CellSpec::new(
-                    chiplet_sim::experiments::Cell::new(w.clone(), p, 2),
+                    chiplet_sim::Cell::new(w.clone(), p, 2),
                     crate::campaign::SuiteTag::Main,
                 )
             })

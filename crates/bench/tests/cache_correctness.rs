@@ -5,7 +5,7 @@
 //! re-simulation instead of poisoning the results.
 
 use chiplet_harness::fleet::DiskCache;
-use chiplet_sim::experiments::Cell;
+use chiplet_sim::Cell;
 use chiplet_workloads::spec::parse_workload;
 use chiplet_workloads::Workload;
 use cpelide_bench::campaign::{self, CellSpec, SuiteTag, PROTOCOLS};

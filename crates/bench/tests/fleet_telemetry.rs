@@ -8,7 +8,7 @@
 
 use chiplet_harness::fleet::DiskCache;
 use chiplet_harness::trace::prom;
-use chiplet_sim::experiments::Cell;
+use chiplet_sim::Cell;
 use chiplet_workloads::spec::parse_workload;
 use cpelide_bench::campaign::{self, CellSpec, SuiteTag, PROTOCOLS};
 use cpelide_bench::telemetry;

@@ -1,6 +1,6 @@
-//! Smoke-runs every figure binary in the tiny `CPELIDE_SMOKE`
-//! configuration and checks that it exits cleanly and drops a well-formed
-//! JSON report into its results directory.
+//! Smoke-runs the artifact binaries in the tiny `CPELIDE_SMOKE`
+//! configuration and checks that each exits cleanly and drops a
+//! well-formed JSON report into its results directory.
 
 use chiplet_harness::json::validate;
 use std::path::PathBuf;
@@ -30,33 +30,23 @@ fn smoke_run(exe: &str, artifact: &str) -> String {
     text
 }
 
-macro_rules! smoke_test {
-    ($name:ident) => {
-        #[test]
-        fn $name() {
-            smoke_run(
-                env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
-                stringify!($name),
-            );
-        }
-    };
+/// Every off-grid study must land in `studies.json` under its own key.
+#[test]
+fn studies() {
+    let text = smoke_run(env!("CARGO_BIN_EXE_studies"), "studies");
+    for key in [
+        "\"table1\"",
+        "\"table2\"",
+        "\"table3\"",
+        "\"hmg_writeback\"",
+        "\"scaling\"",
+        "\"driver\"",
+        "\"beyond7\"",
+        "\"sensitivity\"",
+    ] {
+        assert!(text.contains(key), "studies report lacks {key}");
+    }
 }
-
-smoke_test!(all);
-smoke_test!(beyond7);
-smoke_test!(driver_study);
-smoke_test!(fig2);
-smoke_test!(fig8);
-smoke_test!(fig9);
-smoke_test!(fig10);
-smoke_test!(hmg_ablation);
-smoke_test!(multistream);
-smoke_test!(scaling);
-smoke_test!(sensitivity);
-smoke_test!(table1);
-smoke_test!(table2);
-smoke_test!(table3);
-smoke_test!(table_occupancy);
 
 /// The deep-dive binary must export the full per-run sync counters and
 /// the per-boundary event log for the CPElide run.

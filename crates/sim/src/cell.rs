@@ -1,22 +1,22 @@
-//! Cell *definition*: the independent unit of sweep-shaped work, split
-//! out from the experiment runners so cells can be built — and validated
-//! — wherever they arrive from.
+//! Cell *definition*: the independent unit of sweep-shaped work, kept
+//! apart from every scheduler so cells can be built — and validated —
+//! wherever they arrive from.
 //!
 //! A [`Cell`] is a (workload, protocol, chiplet-count) triple under the
-//! paper's Table 1 configuration. Historically cells only ever came from
-//! one enumerated grid (`cpelide_bench::campaign::cells`); the campaign
-//! daemon (`cpelide-bench --bin serve`) instead receives them one request
-//! at a time from untrusted clients, so definition and *scheduling* are
+//! paper's Table 1 configuration. Cells come from the enumerated grid
+//! (`cpelide_bench::campaign::cells`), from the `studies` binary's
+//! off-grid chiplet counts, and from the campaign daemon
+//! (`cpelide-bench --bin serve`), which receives them one request at a
+//! time from untrusted clients, so definition and *scheduling* are
 //! deliberately separate layers:
 //!
 //! - **Definition** (this module): what a cell is, how to build one from
 //!   externally-supplied strings ([`Cell::validated`]), and how to run it
 //!   to completion on the current thread ([`Cell::run`]).
-//! - **Scheduling** (`experiments::run_cells`, the bench campaign runner,
-//!   the daemon's fair scheduler): when and where a cell executes. Cells
-//!   are `Send + Sync` and each run builds its own simulator, so any
-//!   scheduler can execute them on any worker without sharing simulated
-//!   state.
+//! - **Scheduling** (the bench campaign runner, the daemon's fair
+//!   scheduler): when and where a cell executes. Cells are `Send + Sync`
+//!   and each run builds its own simulator, so any scheduler can execute
+//!   them on any worker without sharing simulated state.
 
 use crate::config::SimConfig;
 use crate::engine::Simulator;

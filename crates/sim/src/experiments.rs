@@ -1,197 +1,29 @@
-//! Experiment runners regenerating every figure and table of the paper's
-//! evaluation (see DESIGN.md §5 for the experiment index).
+//! Config-variant studies: the experiments that change the Table 1
+//! configuration itself (serialized sync sets, a driver-managed CP, a
+//! smaller table, a slower crossbar or link), so their cells are not
+//! campaign-grid cells and cannot come from `results/campaign.json`.
+//! Every figure built from grid cells is rendered from the campaign
+//! document instead (`cpelide_bench::report`); the `studies` binary of
+//! `cpelide-bench` runs what is here (see DESIGN.md §5 for the experiment
+//! index).
 //!
 //! All fan-out goes through `chiplet_harness::fleet` — this crate never
 //! spawns a thread itself, which keeps the whole simulation path
-//! thread-free (the `sim-thread` lint enforces it). Each [`Cell`] is an
-//! independent simulator run; the fleet commits results in submission
-//! order, so every figure below is byte-identical across worker counts.
-//!
-//! Cell *definition* (what a cell is, and the validation seam for
-//! externally-supplied cells) lives in [`crate::cell`]; this module is
-//! the batch *scheduling* layer on top of it. The campaign daemon
-//! (`cpelide-bench --bin serve`) is the dynamic scheduling layer over the
-//! same definitions.
+//! thread-free (the `sim-thread` lint enforces it). The fleet commits
+//! results in submission order, so every study is byte-identical across
+//! worker counts.
 
+use crate::cell::run_one;
 use crate::config::SimConfig;
 use crate::engine::Simulator;
 use crate::metrics::{geomean, RunMetrics};
 use chiplet_coherence::ProtocolKind;
 use chiplet_harness::fleet;
-use chiplet_workloads::{ReuseClass, Workload};
-
-pub use crate::cell::{run_one, Cell};
-
-/// Runs every cell on the fleet; results come back in submission order.
-pub fn run_cells(cells: &[Cell]) -> Vec<RunMetrics> {
-    fleet::parallel_map_ok(cells, fleet::workers(), Cell::run)
-}
+use chiplet_workloads::Workload;
 
 /// Maps a closure over workloads on the fleet, preserving order.
 fn par_map<T: Send>(workloads: &[Workload], f: impl Fn(&Workload) -> T + Sync) -> Vec<T> {
     fleet::parallel_map_ok(workloads, fleet::workers(), f)
-}
-
-// ---------------------------------------------------------------- Figure 2
-
-/// One Figure 2 bar: performance loss of the 4-chiplet baseline relative
-/// to the equivalent monolithic GPU.
-#[derive(Debug, Clone)]
-pub struct Fig2Row {
-    /// Workload name.
-    pub workload: String,
-    /// Slowdown of the chiplet baseline vs monolithic, as a fraction
-    /// (0.54 = 54 % more cycles).
-    pub loss: f64,
-}
-
-/// Figure 2: per-workload and average performance loss from the lack of
-/// inter-kernel L2 reuse in a 4-chiplet GPU vs an equivalent monolithic
-/// GPU (paper: 54 % average).
-pub fn fig2(workloads: &[Workload], chiplets: usize) -> (Vec<Fig2Row>, f64) {
-    let cells: Vec<Cell> = workloads
-        .iter()
-        .flat_map(|w| {
-            [
-                Cell::new(w.clone(), ProtocolKind::Baseline, chiplets),
-                Cell::new(w.clone(), ProtocolKind::Monolithic, chiplets),
-            ]
-        })
-        .collect();
-    let metrics = run_cells(&cells);
-    let rows: Vec<Fig2Row> = workloads
-        .iter()
-        .zip(metrics.chunks_exact(2))
-        .map(|(w, pair)| Fig2Row {
-            workload: w.name().to_owned(),
-            loss: pair[0].cycles / pair[1].cycles - 1.0,
-        })
-        .collect();
-    let avg = rows.iter().map(|r| r.loss).sum::<f64>() / rows.len().max(1) as f64;
-    (rows, avg)
-}
-
-// ---------------------------------------------------------------- Figure 8
-
-/// One Figure 8 group: speedups over the Baseline at one chiplet count.
-#[derive(Debug, Clone)]
-pub struct Fig8Row {
-    /// Workload name.
-    pub workload: String,
-    /// Reuse grouping.
-    pub class: ReuseClass,
-    /// CPElide speedup over Baseline (>1 is faster).
-    pub cpelide: f64,
-    /// HMG speedup over Baseline.
-    pub hmg: f64,
-}
-
-/// Figure 8 summary statistics.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig8Summary {
-    /// Geomean CPElide speedup over Baseline.
-    pub cpelide_vs_baseline: f64,
-    /// Geomean HMG speedup over Baseline.
-    pub hmg_vs_baseline: f64,
-    /// Geomean CPElide speedup over HMG.
-    pub cpelide_vs_hmg: f64,
-    /// Geomean CPElide speedup over Baseline, moderate/high-reuse apps.
-    pub cpelide_vs_baseline_reuse: f64,
-}
-
-/// Figure 8: CPElide and HMG normalized to Baseline for one chiplet count.
-pub fn fig8(workloads: &[Workload], chiplets: usize) -> (Vec<Fig8Row>, Fig8Summary) {
-    let rows: Vec<Fig8Row> = protocol_triples(workloads, chiplets)
-        .into_iter()
-        .map(|t| Fig8Row {
-            workload: t.workload,
-            class: t.class,
-            cpelide: t.cpelide.speedup_over(&t.baseline),
-            hmg: t.hmg.speedup_over(&t.baseline),
-        })
-        .collect();
-    let summary = Fig8Summary {
-        cpelide_vs_baseline: geomean(rows.iter().map(|r| r.cpelide)),
-        hmg_vs_baseline: geomean(rows.iter().map(|r| r.hmg)),
-        cpelide_vs_hmg: geomean(rows.iter().map(|r| r.cpelide / r.hmg)),
-        cpelide_vs_baseline_reuse: geomean(
-            rows.iter()
-                .filter(|r| r.class == ReuseClass::ModerateHigh)
-                .map(|r| r.cpelide),
-        ),
-    };
-    (rows, summary)
-}
-
-// ------------------------------------------------------------ Figures 9/10
-
-/// One workload's three-protocol metric set (Figures 9 and 10 share it).
-#[derive(Debug, Clone)]
-pub struct ProtocolTriple {
-    /// Workload name.
-    pub workload: String,
-    /// Reuse grouping.
-    pub class: ReuseClass,
-    /// Baseline run.
-    pub baseline: RunMetrics,
-    /// CPElide run.
-    pub cpelide: RunMetrics,
-    /// HMG run.
-    pub hmg: RunMetrics,
-}
-
-/// Runs Baseline/CPElide/HMG for every workload (input to Figures 8/9/10),
-/// fanning the individual cells out across the fleet.
-pub fn protocol_triples(workloads: &[Workload], chiplets: usize) -> Vec<ProtocolTriple> {
-    const PROTOCOLS: [ProtocolKind; 3] = [
-        ProtocolKind::Baseline,
-        ProtocolKind::CpElide,
-        ProtocolKind::Hmg,
-    ];
-    let cells: Vec<Cell> = workloads
-        .iter()
-        .flat_map(|w| PROTOCOLS.map(|p| Cell::new(w.clone(), p, chiplets)))
-        .collect();
-    let mut metrics = run_cells(&cells).into_iter();
-    let mut triples = Vec::with_capacity(workloads.len());
-    for w in workloads {
-        if let (Some(baseline), Some(cpelide), Some(hmg)) =
-            (metrics.next(), metrics.next(), metrics.next())
-        {
-            triples.push(ProtocolTriple {
-                workload: w.name().to_owned(),
-                class: w.class(),
-                baseline,
-                cpelide,
-                hmg,
-            });
-        }
-    }
-    triples
-}
-
-/// Figure 9 summary: average energy of CPElide and HMG relative to
-/// Baseline (paper: CPElide −14 % vs Baseline, −11 % vs HMG).
-pub fn fig9_summary(triples: &[ProtocolTriple]) -> (f64, f64) {
-    let cpe = geomean(
-        triples
-            .iter()
-            .map(|t| t.cpelide.energy_ratio_to(&t.baseline)),
-    );
-    let hmg = geomean(triples.iter().map(|t| t.hmg.energy_ratio_to(&t.baseline)));
-    (cpe, hmg)
-}
-
-/// Figure 10 summary: average traffic of CPElide and HMG relative to
-/// Baseline (paper: CPElide −14 % vs Baseline, −17 % vs HMG).
-pub fn fig10_summary(triples: &[ProtocolTriple]) -> (f64, f64) {
-    let cpe = geomean(
-        triples
-            .iter()
-            .map(|t| t.cpelide.traffic_ratio_to(&t.baseline)),
-    );
-    let hmg = geomean(triples.iter().map(|t| t.hmg.traffic_ratio_to(&t.baseline)));
-    (cpe, hmg)
 }
 
 // ----------------------------------------------------- §VI scaling study
@@ -218,119 +50,6 @@ pub fn scaling_study(workloads: &[Workload]) -> Vec<(usize, f64)> {
             (mimicked, geo - 1.0)
         })
         .collect()
-}
-
-// -------------------------------------------------- §VI multi-stream study
-
-/// §VI multi-stream study: CPElide vs HMG on a multi-stream suite
-/// (normally [`chiplet_workloads::multi_stream_suite`]) at 4 chiplets
-/// (paper: CPElide ≈ +12 % over HMG on average).
-pub fn multistream_study(workloads: &[Workload]) -> (Vec<Fig8Row>, f64) {
-    let (rows, summary) = fig8(workloads, 4);
-    (rows, summary.cpelide_vs_hmg)
-}
-
-// ------------------------------------------- §IV-C HMG write-back ablation
-
-/// §IV-C ablation: HMG's write-back L2 variant vs its write-through
-/// variant (paper: write-back ≈13 % worse geomean).
-pub fn hmg_writeback_ablation(workloads: &[Workload]) -> f64 {
-    let ratios = par_map(workloads, |w| {
-        let wt = run_one(w, ProtocolKind::Hmg, 4);
-        let wb = run_one(w, ProtocolKind::HmgWriteBack, 4);
-        wb.cycles / wt.cycles
-    });
-    geomean(ratios) - 1.0
-}
-
-// ------------------------------------------------ §III-A table occupancy
-
-/// §III-A validation: maximum live Chiplet Coherence Table entries per
-/// workload (paper: ≤ 11, never overflowing the 64-entry table).
-pub fn table_occupancy(workloads: &[Workload]) -> Vec<(String, usize, u64)> {
-    par_map(workloads, |w| {
-        let m = run_one(w, ProtocolKind::CpElide, 4);
-        // chiplet-check: allow(no-panic) — CPElide runs always attach table stats
-        let t = m.table.expect("CPElide metrics carry table stats");
-        (w.name().to_owned(), t.max_live_entries, t.evictions)
-    })
-}
-
-// -------------------------------------------------------------- rendering
-
-/// Renders a percentage with sign, e.g. `+13.2 %`.
-pub fn pct(x: f64) -> String {
-    format!("{:+.1}%", x * 100.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn mini_suite() -> Vec<Workload> {
-        ["square", "btree"]
-            .iter()
-            .map(|n| chiplet_workloads::lookup(n).unwrap_or_else(|e| panic!("{e}")))
-            .collect()
-    }
-
-    #[test]
-    fn fig2_reports_positive_loss_for_reuse_apps() {
-        let suite = vec![chiplet_workloads::lookup("square").unwrap_or_else(|e| panic!("{e}"))];
-        let (rows, avg) = fig2(&suite, 4);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].loss > 0.0, "chiplets must lose to monolithic");
-        assert!(avg > 0.0);
-    }
-
-    #[test]
-    fn fig8_summary_orders_protocols_on_streaming() {
-        let suite = vec![chiplet_workloads::lookup("square").unwrap_or_else(|e| panic!("{e}"))];
-        let (rows, summary) = fig8(&suite, 4);
-        assert!(rows[0].cpelide > 1.0, "CPElide beats Baseline on square");
-        assert!(
-            summary.cpelide_vs_hmg > 1.0,
-            "CPElide beats HMG on square: {}",
-            summary.cpelide_vs_hmg
-        );
-    }
-
-    #[test]
-    fn triples_feed_energy_and_traffic_summaries() {
-        let triples = protocol_triples(&mini_suite(), 2);
-        let (e_cpe, _) = fig9_summary(&triples);
-        let (t_cpe, _) = fig10_summary(&triples);
-        assert!(e_cpe > 0.0 && e_cpe < 1.5);
-        assert!(t_cpe > 0.0 && t_cpe < 1.5);
-    }
-
-    #[test]
-    fn scaling_study_overhead_is_small() {
-        let suite = mini_suite();
-        let results = scaling_study(&suite);
-        assert_eq!(results.len(), 2);
-        for (n, overhead) in results {
-            assert!(overhead >= -0.01, "mimicked {n}-chiplet overhead negative");
-            assert!(
-                overhead < 0.25,
-                "mimicked {n}-chiplet overhead too large: {overhead}"
-            );
-        }
-    }
-
-    #[test]
-    fn occupancy_is_within_table_capacity() {
-        for (name, max, evictions) in table_occupancy(&mini_suite()) {
-            assert!(max <= 64, "{name} overflowed");
-            assert_eq!(evictions, 0, "{name} evicted entries");
-        }
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.132), "+13.2%");
-        assert_eq!(pct(-0.05), "-5.0%");
-    }
 }
 
 // ------------------------------------------------------- sensitivity sweeps
@@ -431,4 +150,30 @@ pub fn driver_study(workloads: &[Workload]) -> Vec<(String, f64, f64)> {
             driver.speedup_over(&base),
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mini_suite() -> Vec<Workload> {
+        ["square", "btree"]
+            .iter()
+            .map(|n| chiplet_workloads::lookup(n).unwrap_or_else(|e| panic!("{e}")))
+            .collect()
+    }
+
+    #[test]
+    fn scaling_study_overhead_is_small() {
+        let suite = mini_suite();
+        let results = scaling_study(&suite);
+        assert_eq!(results.len(), 2);
+        for (n, overhead) in results {
+            assert!(overhead >= -0.01, "mimicked {n}-chiplet overhead negative");
+            assert!(
+                overhead < 0.25,
+                "mimicked {n}-chiplet overhead too large: {overhead}"
+            );
+        }
+    }
 }

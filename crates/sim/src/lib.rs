@@ -1,7 +1,7 @@
 //! The multi-chiplet GPU simulator: Table I configuration, the execution
 //! engine that drives workload traces through the protocol memory systems,
-//! run metrics, and the experiment harness regenerating every figure and
-//! table of the paper's evaluation.
+//! run metrics, and the config-variant studies of the paper's evaluation
+//! (the grid-shaped figures come from the `cpelide-bench` campaign).
 //!
 //! # Quick start
 //!

@@ -42,8 +42,12 @@ echo "== Benchmark package (build and unit-test perfbench) =="
 # API changes that would break the benchmark. Build output stays in target/.
 cargo test --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "== Smoke-run every figure binary =="
-CPELIDE_SMOKE=1 cargo run --release -p cpelide-bench --bin all
+echo "== Smoke-run the studies binary =="
+# The off-grid studies in the tiny configuration, into a scratch dir so the
+# committed results/studies.txt is left alone.
+CPELIDE_SMOKE=1 CPELIDE_RESULTS_DIR=results/studies-smoke \
+  cargo run --release -p cpelide-bench --bin studies
+grep -q '"sensitivity"' results/studies-smoke/studies.json
 
 echo "== Campaign determinism smoke (CPELIDE_JOBS=1 vs 8) =="
 # The fleet's core contract: campaign.json is byte-identical at any
@@ -71,6 +75,8 @@ CPELIDE_RESULTS_DIR=results/jobs1 \
   cargo run --release -p cpelide-bench --bin report -- --obs
 
 echo "== Docs drift gate (EXPERIMENTS.md vs committed campaign.json) =="
+# EXPERIMENTS.md's generated blocks and results/figures.txt must match what
+# `report` derives from the committed results/campaign.json.
 cargo run --release -p cpelide-bench --bin report -- --check
 
 echo "== Smoke-run probe with Perfetto trace export =="

@@ -190,7 +190,9 @@ fn traffic_ordering_on_write_through_heavy_apps() {
 
 #[test]
 fn energy_ordering_follows_traffic() {
-    // Paper Figure 9: CPElide's memory-subsystem energy undercuts both.
+    // Paper Figure 9: CPElide's memory-subsystem energy undercuts both,
+    // and neither scheme changes L1/LDS energy: the protocols differ only
+    // below the L1s, so L1I/L1D/LDS must be equal at one chiplet count.
     let mut better_than_base = 0;
     let mut total = 0;
     for w in test_suite() {
@@ -199,6 +201,17 @@ fn energy_ordering_follows_traffic() {
         }
         let base = Simulator::new(SimConfig::table1(4, ProtocolKind::Baseline)).run(&w);
         let cpe = Simulator::new(SimConfig::table1(4, ProtocolKind::CpElide)).run(&w);
+        let hmg = Simulator::new(SimConfig::table1(4, ProtocolKind::Hmg)).run(&w);
+        for other in [&cpe, &hmg] {
+            let (b, o) = (&base.energy, &other.energy);
+            assert_eq!(
+                (b.l1i, b.l1d, b.lds),
+                (o.l1i, o.l1d, o.lds),
+                "{}: {} L1I/L1D/LDS energy differs from Baseline",
+                w.name(),
+                other.protocol
+            );
+        }
         total += 1;
         if cpe.energy.total() <= base.energy.total() {
             better_than_base += 1;
