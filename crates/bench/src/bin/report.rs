@@ -8,8 +8,11 @@
 //!   generated blocks in place and re-render `figures.txt`.
 //! - `cargo run --release -p cpelide-bench --bin report -- --check` — exit
 //!   1 if the committed document or `figures.txt` is out of sync with the
-//!   committed campaign results (the CI docs-drift gate), touching
-//!   nothing.
+//!   committed campaign results, or the campaign's stored `summary` is not
+//!   the one `campaign::summarize` derives from its rows (the CI
+//!   docs-drift gate), touching nothing. Without `--check`, a summary
+//!   that disagrees with the rows fails the run before anything is
+//!   written.
 //! - `cargo run --release -p cpelide-bench --bin report -- --obs` — print
 //!   the host-observability summary (phase breakdown, cache counters,
 //!   fleet utilization) from `results/campaign.prom` to stdout, plus the
@@ -31,6 +34,7 @@
 //! regression detected, 2 usage or I/O.
 
 use chiplet_harness::json;
+use cpelide_bench::campaign::summarize;
 use cpelide_bench::perfgate;
 use cpelide_bench::report::{
     campaign_path, experiments_path, figures_path, generate_blocks, obs_section,
@@ -155,6 +159,30 @@ fn main() {
     let updated_doc = splice(&doc, &blocks).unwrap_or_else(|e| fail(&e));
     let figures = render_figures(&campaign).unwrap_or_else(|e| fail(&e));
 
+    // Every block above reads the stored summary, so it must be the one
+    // the rows derive.
+    let rows = campaign
+        .get("cells")
+        .and_then(json::Json::as_arr)
+        .unwrap_or_else(|| fail(&format!("{} has no cells array", campaign_file.display())));
+    let derived = summarize(rows).render();
+    let mut drifted = campaign.get("summary").map(json::Json::render) != Some(derived);
+    if drifted {
+        eprintln!(
+            "report: the summary in {} is OUT OF SYNC with its rows; \
+             re-run `cargo run --release -p cpelide-bench --bin campaign`",
+            campaign_file.display()
+        );
+        if !check {
+            std::process::exit(1);
+        }
+    } else {
+        println!(
+            "report: the summary in {} is in sync with its rows",
+            campaign_file.display()
+        );
+    }
+
     // Each generated file with its fresh content; a missing figures.txt
     // reads as empty, so it counts as drift.
     let outputs: [(PathBuf, String, String); 2] = [
@@ -165,7 +193,6 @@ fn main() {
             figures,
         ),
     ];
-    let mut drifted = false;
     for (path, committed, fresh) in &outputs {
         if committed == fresh {
             println!(

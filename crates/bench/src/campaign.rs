@@ -420,7 +420,6 @@ pub fn run(
     let mut failures: Vec<JobFailure> = Vec::new();
     let mut cell_cached: Vec<bool> = Vec::with_capacity(specs.len());
     let mut rows: Vec<Json> = Vec::with_capacity(specs.len());
-    let mut parsed: Vec<Option<Json>> = Vec::with_capacity(specs.len());
     for (spec, outcome) in specs.iter().zip(outcomes) {
         let row = match outcome {
             Ok(cell) => {
@@ -435,13 +434,11 @@ pub fn run(
                 if let Some(p) = &cell.phases {
                     phases.merge(p);
                 }
-                parsed.push(Some(cell.metrics.clone()));
                 spec.row(Ok(&cell.metrics))
             }
             Err(e) => {
                 failed += 1;
                 cell_cached.push(false);
-                parsed.push(None);
                 let row = spec.row(Err(e.message.as_str()));
                 failures.push(e);
                 row
@@ -451,7 +448,7 @@ pub fn run(
     }
 
     let summary = if failed == 0 {
-        summarize(specs, &parsed)
+        summarize(&rows)
     } else {
         Json::object().with("incomplete", true)
     };
@@ -489,96 +486,130 @@ fn l2l3_flits(metrics: &Json) -> f64 {
     num(metrics.get("traffic").unwrap_or(&Json::Null), "l2_l3_flits")
 }
 
-/// Derives the headline summary from the parsed cell metrics. Pure
-/// arithmetic over already-committed values, so it inherits the cells'
-/// worker-count independence.
-fn summarize(specs: &[CellSpec], parsed: &[Option<Json>]) -> Json {
-    let find = |suite: SuiteTag, workload: &str, protocol: ProtocolKind, chiplets: usize| {
-        specs
+/// One row's identity as [`summarize`] aggregates it, read from the row's
+/// own fields.
+struct RowKey<'a> {
+    suite: &'a str,
+    workload: &'a str,
+    class: &'a str,
+    protocol: &'a str,
+    chiplets: u64,
+}
+
+impl<'a> RowKey<'a> {
+    fn of(row: &'a Json) -> Option<Self> {
+        let text = |k: &str| row.get(k).and_then(Json::as_str);
+        Some(RowKey {
+            suite: text("suite")?,
+            workload: text("workload")?,
+            class: text("class")?,
+            protocol: text("protocol")?,
+            chiplets: row.get("chiplets").and_then(Json::as_f64)? as u64,
+        })
+    }
+}
+
+/// Derives the headline summary from a campaign document's `cells` rows.
+/// Pure arithmetic over already-committed values, so it inherits the
+/// cells' worker-count independence, and `report --check` re-derives it
+/// from the committed rows.
+///
+/// A section appears only when its cells do: a document without
+/// 4-chiplet Baseline and Monolithic cells gets no `fig2`, one without
+/// 4-chiplet Baseline/CPElide/HMG triples no `energy` and `traffic`,
+/// one without 4-chiplet CPElide cells no `occupancy`, one without
+/// multi-stream pairs no `multistream`, and `fig8` lists only the chiplet
+/// counts that have at least one full protocol triple.
+pub fn summarize(rows: &[Json]) -> Json {
+    let keyed: Vec<(RowKey<'_>, Option<&Json>)> = rows
+        .iter()
+        .filter_map(|row| Some((RowKey::of(row)?, row.get("metrics"))))
+        .collect();
+    let main = SuiteTag::Main.label();
+    let multi = SuiteTag::MultiStream.label();
+    let find = |suite: &str, workload: &str, protocol: ProtocolKind, chiplets: u64| {
+        keyed
             .iter()
-            .zip(parsed)
-            .find(|(s, _)| {
-                s.suite == suite
-                    && s.cell.workload.name() == workload
-                    && s.cell.protocol == protocol
-                    && s.cell.chiplets == chiplets
+            .find(|(k, _)| {
+                k.suite == suite
+                    && k.workload == workload
+                    && k.protocol == protocol.label()
+                    && k.chiplets == chiplets
             })
-            .and_then(|(_, m)| m.as_ref())
+            .and_then(|(_, m)| *m)
     };
-    let main_workloads: Vec<(&str, ReuseClass)> = {
+    let main_workloads: Vec<(&str, &str)> = {
         let mut seen = Vec::new();
-        for s in specs.iter().filter(|s| s.suite == SuiteTag::Main) {
-            let entry = (s.cell.workload.name(), s.cell.workload.class());
-            if !seen.contains(&entry) {
-                seen.push(entry);
+        for (k, _) in keyed.iter().filter(|(k, _)| k.suite == main) {
+            if !seen.contains(&(k.workload, k.class)) {
+                seen.push((k.workload, k.class));
             }
         }
         seen
     };
-    let counts: Vec<usize> = {
+    let counts: Vec<u64> = {
         let mut seen = Vec::new();
-        for s in specs.iter().filter(|s| s.suite == SuiteTag::Main) {
-            if s.cell.protocol != ProtocolKind::Monolithic && !seen.contains(&s.cell.chiplets) {
-                seen.push(s.cell.chiplets);
+        for (k, _) in keyed.iter().filter(|(k, _)| k.suite == main) {
+            if k.protocol != ProtocolKind::Monolithic.label() && !seen.contains(&k.chiplets) {
+                seen.push(k.chiplets);
             }
         }
         seen
     };
+    let reuse = ReuseClass::ModerateHigh.to_string();
+    let low = ReuseClass::Low.to_string();
+    let mut summary = Json::object();
 
     // Figure 2: baseline-vs-monolithic loss at 4 chiplets.
     let losses: Vec<f64> = main_workloads
         .iter()
         .filter_map(|&(w, _)| {
-            let base = find(SuiteTag::Main, w, ProtocolKind::Baseline, 4)?;
-            let mono = find(SuiteTag::Main, w, ProtocolKind::Monolithic, 4)?;
+            let base = find(main, w, ProtocolKind::Baseline, 4)?;
+            let mono = find(main, w, ProtocolKind::Monolithic, 4)?;
             Some(num(base, "cycles") / num(mono, "cycles") - 1.0)
         })
         .collect();
-    let fig2 = Json::object()
-        .with(
-            "avg_loss",
-            losses.iter().sum::<f64>() / losses.len().max(1) as f64,
-        )
-        .with(
-            "min_loss",
-            losses.iter().copied().fold(f64::INFINITY, f64::min),
-        )
-        .with("max_loss", losses.iter().copied().fold(0.0, f64::max));
+    if !losses.is_empty() {
+        summary.set(
+            "fig2",
+            Json::object()
+                .with("avg_loss", losses.iter().sum::<f64>() / losses.len() as f64)
+                .with(
+                    "min_loss",
+                    losses.iter().copied().fold(f64::INFINITY, f64::min),
+                )
+                .with("max_loss", losses.iter().copied().fold(0.0, f64::max)),
+        );
+    }
 
     // Figure 8: per-chiplet-count speedup geomeans.
     let mut fig8 = Vec::new();
     for &chiplets in &counts {
         let trip = |w: &str| {
             Some((
-                num(
-                    find(SuiteTag::Main, w, ProtocolKind::Baseline, chiplets)?,
-                    "cycles",
-                ),
-                num(
-                    find(SuiteTag::Main, w, ProtocolKind::CpElide, chiplets)?,
-                    "cycles",
-                ),
-                num(
-                    find(SuiteTag::Main, w, ProtocolKind::Hmg, chiplets)?,
-                    "cycles",
-                ),
+                num(find(main, w, ProtocolKind::Baseline, chiplets)?, "cycles"),
+                num(find(main, w, ProtocolKind::CpElide, chiplets)?, "cycles"),
+                num(find(main, w, ProtocolKind::Hmg, chiplets)?, "cycles"),
             ))
         };
-        let trips: Vec<(ReuseClass, (f64, f64, f64))> = main_workloads
+        let trips: Vec<(&str, (f64, f64, f64))> = main_workloads
             .iter()
             .filter_map(|&(w, class)| Some((class, trip(w)?)))
             .collect();
+        if trips.is_empty() {
+            continue;
+        }
         let cpe = geomean(trips.iter().map(|(_, (b, c, _))| b / c));
         let hmg = geomean(trips.iter().map(|(_, (b, _, h))| b / h));
-        let reuse = geomean(
+        let reuse_speedup = geomean(
             trips
                 .iter()
-                .filter(|(class, _)| *class == ReuseClass::ModerateHigh)
+                .filter(|(class, _)| *class == reuse)
                 .map(|(_, (b, c, _))| b / c),
         );
         let low_min = trips
             .iter()
-            .filter(|(class, _)| *class == ReuseClass::Low)
+            .filter(|(class, _)| *class == low)
             .map(|(_, (b, c, _))| b / c)
             .fold(f64::INFINITY, f64::min);
         fig8.push(
@@ -587,52 +618,81 @@ fn summarize(specs: &[CellSpec], parsed: &[Option<Json>]) -> Json {
                 .with("cpelide_vs_baseline", cpe)
                 .with("hmg_vs_baseline", hmg)
                 .with("cpelide_vs_hmg", cpe / hmg)
-                .with("cpelide_vs_baseline_reuse", reuse)
+                .with("cpelide_vs_baseline_reuse", reuse_speedup)
                 .with(
                     "low_reuse_min_speedup",
                     if low_min.is_finite() { low_min } else { 1.0 },
                 ),
         );
     }
+    summary.set("fig8", Json::Arr(fig8));
 
     // Figures 9/10: energy and traffic ratios at 4 chiplets.
-    let ratios = |f: &dyn Fn(&Json) -> f64| -> (f64, f64, f64) {
+    let ratios = |f: &dyn Fn(&Json) -> f64| -> Option<(f64, f64, f64)> {
         let per: Vec<(f64, f64, f64)> = main_workloads
             .iter()
             .filter_map(|&(w, _)| {
-                let b = f(find(SuiteTag::Main, w, ProtocolKind::Baseline, 4)?);
-                let c = f(find(SuiteTag::Main, w, ProtocolKind::CpElide, 4)?);
-                let h = f(find(SuiteTag::Main, w, ProtocolKind::Hmg, 4)?);
+                let b = f(find(main, w, ProtocolKind::Baseline, 4)?);
+                let c = f(find(main, w, ProtocolKind::CpElide, 4)?);
+                let h = f(find(main, w, ProtocolKind::Hmg, 4)?);
                 Some((c / b, c / h, h / b))
             })
             .collect();
-        (
-            geomean(per.iter().map(|r| r.0)),
-            geomean(per.iter().map(|r| r.1)),
-            geomean(per.iter().map(|r| r.2)),
-        )
+        (!per.is_empty()).then(|| {
+            (
+                geomean(per.iter().map(|r| r.0)),
+                geomean(per.iter().map(|r| r.1)),
+                geomean(per.iter().map(|r| r.2)),
+            )
+        })
     };
-    let (e_cb, e_ch, e_hb) = ratios(&|m| num(m, "energy_total_uj"));
-    let (t_cb, t_ch, t_hb) = ratios(&total_flits);
-    let (_, l2l3_ch, _) = ratios(&l2l3_flits);
+    if let Some((e_cb, e_ch, e_hb)) = ratios(&|m| num(m, "energy_total_uj")) {
+        summary.set(
+            "energy",
+            Json::object()
+                .with("cpelide_vs_baseline", e_cb)
+                .with("cpelide_vs_hmg", e_ch)
+                .with("hmg_vs_baseline", e_hb),
+        );
+    }
+    if let (Some((t_cb, t_ch, t_hb)), Some((_, l2l3_ch, _))) =
+        (ratios(&total_flits), ratios(&l2l3_flits))
+    {
+        summary.set(
+            "traffic",
+            Json::object()
+                .with("cpelide_vs_baseline", t_cb)
+                .with("cpelide_vs_hmg", t_ch)
+                .with("hmg_vs_baseline", t_hb)
+                .with("l2l3_cpelide_vs_hmg", l2l3_ch),
+        );
+    }
 
     // §III-A occupancy over the CPElide cells at 4 chiplets.
-    let (mut max_live, mut evictions) = (0.0f64, 0.0f64);
-    for &(w, _) in &main_workloads {
-        if let Some(t) =
-            find(SuiteTag::Main, w, ProtocolKind::CpElide, 4).and_then(|m| m.get("table"))
-        {
+    let tables: Vec<&Json> = main_workloads
+        .iter()
+        .filter_map(|&(w, _)| find(main, w, ProtocolKind::CpElide, 4)?.get("table"))
+        .collect();
+    if !tables.is_empty() {
+        let (mut max_live, mut evictions) = (0.0f64, 0.0f64);
+        for t in tables {
             max_live = max_live.max(num(t, "max_live_entries"));
             evictions += num(t, "evictions");
         }
+        summary.set(
+            "occupancy",
+            Json::object()
+                .with("max_live_entries", max_live)
+                .with("evictions", evictions),
+        );
     }
 
     // §VI multi-stream: CPElide vs HMG at 4 chiplets.
     let ms_workloads: Vec<&str> = {
         let mut seen = Vec::new();
-        for s in specs.iter().filter(|s| s.suite == SuiteTag::MultiStream) {
-            if !seen.contains(&s.cell.workload.name()) {
-                seen.push(s.cell.workload.name());
+        for (k, _) in keyed.iter().filter(|(k, _)| k.suite == multi) {
+            if !seen.contains(&k.workload) {
+                seen.push(k.workload);
             }
         }
         seen
@@ -640,42 +700,20 @@ fn summarize(specs: &[CellSpec], parsed: &[Option<Json>]) -> Json {
     let ms: Vec<f64> = ms_workloads
         .iter()
         .filter_map(|&w| {
-            let c = find(SuiteTag::MultiStream, w, ProtocolKind::CpElide, 4)?;
-            let h = find(SuiteTag::MultiStream, w, ProtocolKind::Hmg, 4)?;
+            let c = find(multi, w, ProtocolKind::CpElide, 4)?;
+            let h = find(multi, w, ProtocolKind::Hmg, 4)?;
             Some(num(h, "cycles") / num(c, "cycles"))
         })
         .collect();
-
-    Json::object()
-        .with("fig2", fig2)
-        .with("fig8", Json::Arr(fig8))
-        .with(
-            "energy",
-            Json::object()
-                .with("cpelide_vs_baseline", e_cb)
-                .with("cpelide_vs_hmg", e_ch)
-                .with("hmg_vs_baseline", e_hb),
-        )
-        .with(
-            "traffic",
-            Json::object()
-                .with("cpelide_vs_baseline", t_cb)
-                .with("cpelide_vs_hmg", t_ch)
-                .with("hmg_vs_baseline", t_hb)
-                .with("l2l3_cpelide_vs_hmg", l2l3_ch),
-        )
-        .with(
-            "occupancy",
-            Json::object()
-                .with("max_live_entries", max_live)
-                .with("evictions", evictions),
-        )
-        .with(
+    if !ms.is_empty() {
+        summary.set(
             "multistream",
             Json::object()
                 .with("workloads", ms.len())
                 .with("cpelide_vs_hmg", geomean(ms.iter().copied())),
-        )
+        );
+    }
+    summary
 }
 
 #[cfg(test)]
@@ -771,5 +809,99 @@ mod tests {
     fn cell_ids_are_colon_joined() {
         let spec = spec("square", ProtocolKind::Baseline, 7, SuiteTag::Main);
         assert_eq!(spec.id(), "square:Baseline:7");
+    }
+
+    /// A synthetic row whose metrics carry every field `summarize` reads.
+    fn summary_row(workload: &str, class: &str, protocol: ProtocolKind, chiplets: u64) -> Json {
+        let cycles = match protocol {
+            ProtocolKind::Baseline => 120.0,
+            ProtocolKind::Monolithic => 100.0,
+            _ => 110.0,
+        };
+        Json::object()
+            .with("workload", workload)
+            .with("class", class)
+            .with("suite", SuiteTag::Main.label())
+            .with("protocol", protocol.label())
+            .with("chiplets", chiplets)
+            .with(
+                "metrics",
+                Json::object()
+                    .with("cycles", cycles)
+                    .with("energy_total_uj", cycles)
+                    .with(
+                        "traffic",
+                        Json::object()
+                            .with("l1_l2_flits", 10u64)
+                            .with("l2_l3_flits", 20u64)
+                            .with("remote_flits", 30u64),
+                    )
+                    .with(
+                        "table",
+                        Json::object()
+                            .with("max_live_entries", 3u64)
+                            .with("evictions", 1u64),
+                    ),
+            )
+    }
+
+    fn keys(summary: &Json) -> Vec<&str> {
+        [
+            "fig2",
+            "fig8",
+            "energy",
+            "traffic",
+            "occupancy",
+            "multistream",
+        ]
+        .into_iter()
+        .filter(|k| summary.get(k).is_some())
+        .collect()
+    }
+
+    #[test]
+    fn summarize_omits_sections_it_has_no_cells_for() {
+        let classes = [("square", "low"), ("btree", "moderate-high")];
+        // The HMG write-back study: no Baseline, CPElide or Monolithic.
+        let hmg_wb: Vec<Json> = classes
+            .iter()
+            .flat_map(|&(w, c)| {
+                [ProtocolKind::Hmg, ProtocolKind::HmgWriteBack].map(|p| summary_row(w, c, p, 4))
+            })
+            .collect();
+        let summary = summarize(&hmg_wb);
+        assert_eq!(keys(&summary), ["fig8"]);
+        assert_eq!(summary.get("fig8").and_then(Json::as_arr), Some(&[][..]));
+
+        // Beyond 7 chiplets: full triples at 8, nothing at 4.
+        let beyond: Vec<Json> = classes
+            .iter()
+            .flat_map(|&(w, c)| PROTOCOLS.map(|p| summary_row(w, c, p, 8)))
+            .collect();
+        let summary = summarize(&beyond);
+        assert_eq!(keys(&summary), ["fig8"]);
+        let fig8 = summary.get("fig8").and_then(Json::as_arr).unwrap();
+        assert_eq!(fig8.len(), 1);
+        assert_eq!(fig8[0].get("chiplets").and_then(Json::as_f64), Some(8.0));
+        let text = summary.render();
+        assert!(!text.contains("null") && !text.contains("inf"), "{text}");
+
+        // Add the 4-chiplet grid and the Monolithic comparison: every
+        // main-suite section appears, each from real cells.
+        let mut grid = beyond;
+        for &(w, c) in &classes {
+            for p in PROTOCOLS.into_iter().chain([ProtocolKind::Monolithic]) {
+                grid.push(summary_row(w, c, p, 4));
+            }
+        }
+        let summary = summarize(&grid);
+        assert_eq!(
+            keys(&summary),
+            ["fig2", "fig8", "energy", "traffic", "occupancy"]
+        );
+        let loss = summary.get("fig2").and_then(|f| f.get("min_loss"));
+        assert!((loss.and_then(Json::as_f64).unwrap() - 0.2).abs() < 1e-12);
+        let text = summary.render();
+        assert!(!text.contains("null") && !text.contains("inf"), "{text}");
     }
 }

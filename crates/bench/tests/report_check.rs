@@ -1,8 +1,10 @@
 //! The docs-drift gate end to end: `report --check` passes on scratch
 //! copies of the committed `campaign.json`, `figures.txt` and
 //! EXPERIMENTS.md, and exits 1 once a single `cycles` value in the
-//! campaign copy is edited — a per-workload figure row drifts even though
-//! the summary, and so every EXPERIMENTS.md block, is unchanged.
+//! campaign copy is edited — a per-workload figure row drifts, and the
+//! stored summary no longer matches the one the rows derive, even though
+//! every EXPERIMENTS.md block (rendered from the stored summary) is
+//! unchanged.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -56,6 +58,8 @@ fn check_fails_when_one_cycles_value_drifts() {
     let stderr = String::from_utf8_lossy(&drift.stderr);
     assert_eq!(drift.status.code(), Some(1), "drift must fail: {stderr}");
     assert!(stderr.contains("figures.txt is OUT OF SYNC"), "{stderr}");
+    assert!(stderr.contains("summary in"), "{stderr}");
+    assert!(stderr.contains("is OUT OF SYNC with its rows"), "{stderr}");
     assert!(
         !stderr.contains("EXPERIMENTS.md is OUT OF SYNC"),
         "{stderr}"

@@ -96,12 +96,11 @@ pub struct MemorySystem<C: CacheCore = SetAssocCache> {
     placement: FirstTouchPlacement,
     hbm: Hbm,
     dirs: Vec<CoarseDirectory>,
-    /// Superset sharer/dirty masks per line, maintained only for the HMG
-    /// protocol family (the only protocols that ever ask "who else holds
-    /// this line?"). Lets the write-back owner probe and future elision
-    /// entry points iterate candidate chiplets by popcount instead of
-    /// probing every L2.
-    line_state: LineStateTable,
+    /// Superset dirty-owner masks per line, built only for
+    /// [`ProtocolKind::HmgWriteBack`], the one protocol that asks "who
+    /// holds this line dirty?". Lets its owner probe iterate candidate
+    /// chiplets by popcount instead of probing every L2.
+    dirty_owners: Option<LineStateTable>,
     traffic: FlitCounter,
     dir_remote_invalidations: u64,
     /// Per-operation synchronization event log (disabled by default so the
@@ -169,7 +168,7 @@ impl<C: CacheCore> MemorySystem<C> {
             placement: FirstTouchPlacement::new(),
             hbm: Hbm::new(config.num_chiplets),
             dirs,
-            line_state: LineStateTable::new(),
+            dirty_owners: (kind == ProtocolKind::HmgWriteBack).then(LineStateTable::new),
             traffic: FlitCounter::new(),
             dir_remote_invalidations: 0,
             events: EventLog::disabled(),
@@ -306,37 +305,38 @@ impl<C: CacheCore> MemorySystem<C> {
         remote
     }
 
+    /// Clears `c`'s dirty-owner bit for `line` (write-back HMG only): the
+    /// line left `c`'s L2 or was written back.
+    #[inline]
+    fn note_clean(&mut self, c: ChipletId, line: LineAddr) {
+        if let Some(t) = &mut self.dirty_owners {
+            t.clear_dirty(line, c);
+        }
+    }
+
+    /// Clears `c`'s dirty-owner bit for an access's evicted victim.
+    #[inline]
+    fn note_eviction(&mut self, c: ChipletId, out: AccessOutcome) {
+        if let Some(v) = out.writeback.or(out.clean_eviction) {
+            self.note_clean(c, v);
+        }
+    }
+
     /// L2 access for the HMG family: performs the read and keeps the
-    /// line-state masks a superset of true residency (fills add the sharer
-    /// bit, evictions — dirty or clean — remove the victim's bits).
+    /// dirty-owner masks a superset of true dirtiness.
     fn l2_read(&mut self, c: ChipletId, line: LineAddr) -> AccessOutcome {
         let out = self.l2[c.index()].read(line);
-        if let Some(v) = out.writeback {
-            self.line_state.remove_sharer(v, c);
-        }
-        if let Some(v) = out.clean_eviction {
-            self.line_state.remove_sharer(v, c);
-        }
-        if !out.hit {
-            self.line_state.add_sharer(line, c);
-        }
+        self.note_eviction(c, out);
         out
     }
 
-    /// L2 store for the HMG family; under write-back the line's dirty mask
+    /// L2 store for the HMG family; under write-back the line's dirty-owner
     /// bit is set so later owner probes can find it without a full scan.
     fn l2_write(&mut self, c: ChipletId, line: LineAddr) -> AccessOutcome {
         let out = self.l2[c.index()].write(line);
-        if let Some(v) = out.writeback {
-            self.line_state.remove_sharer(v, c);
-        }
-        if let Some(v) = out.clean_eviction {
-            self.line_state.remove_sharer(v, c);
-        }
-        if self.kind == ProtocolKind::HmgWriteBack {
-            self.line_state.mark_dirty(line, c);
-        } else {
-            self.line_state.add_sharer(line, c);
+        self.note_eviction(c, out);
+        if let Some(t) = &mut self.dirty_owners {
+            t.mark_dirty(line, c);
         }
         out
     }
@@ -345,7 +345,7 @@ impl<C: CacheCore> MemorySystem<C> {
     fn l2_invalidate_line(&mut self, c: ChipletId, line: LineAddr) -> Option<bool> {
         let r = self.l2[c.index()].invalidate_line(line);
         if r.is_some() {
-            self.line_state.remove_sharer(line, c);
+            self.note_clean(c, line);
         }
         r
     }
@@ -354,7 +354,7 @@ impl<C: CacheCore> MemorySystem<C> {
     fn l2_flush_line(&mut self, c: ChipletId, line: LineAddr) -> bool {
         let r = self.l2[c.index()].flush_line(line);
         if r {
-            self.line_state.clear_dirty(line, c);
+            self.note_clean(c, line);
         }
         r
     }
@@ -483,13 +483,13 @@ impl<C: CacheCore> MemorySystem<C> {
         }
         // Another chiplet may own the line dirty: forward from the owner,
         // flushing its copy to the LLC on the way (3-hop transaction). The
-        // line-state dirty mask narrows the probe to candidate chiplets in
+        // dirty-owner mask narrows the probe to candidate chiplets in
         // ascending order (a superset, so each candidate is verified with a
         // real probe — same outcome as scanning every L2).
-        let owner = self
-            .line_state
-            .dirty_candidates(line)
-            .find(|&o| o != c && self.l2[o.index()].probe_dirty(line));
+        let owner = self.dirty_owners.as_ref().and_then(|t| {
+            t.dirty_candidates(line)
+                .find(|&o| o != c && self.l2[o.index()].probe_dirty(line))
+        });
         self.dir_record(home, line, c);
         if let Some(o) = owner {
             self.l2_flush_line(o, line);
@@ -604,12 +604,9 @@ impl<C: CacheCore> MemorySystem<C> {
     /// retaining clean copies. Writebacks are routed to each line's home.
     pub fn release(&mut self, c: ChipletId) -> ReleaseCost {
         let lines = self.l2[c.index()].flush_dirty_lines();
-        let track = self.kind.is_hmg();
         let mut cost = ReleaseCost::default();
         for line in lines {
-            if track {
-                self.line_state.clear_dirty(line, c);
-            }
+            self.note_clean(c, line);
             if self.writeback_line(c, line) {
                 cost.remote_lines += 1;
             } else {
@@ -632,8 +629,8 @@ impl<C: CacheCore> MemorySystem<C> {
     pub fn acquire(&mut self, c: ChipletId) -> AcquireCost {
         let flush = self.release(c);
         let inv = self.l2[c.index()].invalidate_all();
-        if self.kind.is_hmg() {
-            self.line_state.clear_chiplet(c);
+        if let Some(t) = &mut self.dirty_owners {
+            t.clear_chiplet(c);
         }
         debug_assert_eq!(inv.dirty_dropped, 0, "flush must precede invalidate");
         self.events.record(

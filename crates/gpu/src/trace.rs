@@ -3,12 +3,14 @@
 //! Given a kernel spec, its dispatch plan, and the application's array
 //! table, this module produces the sequence of cache-line accesses one
 //! chiplet's CUs issue: the input the memory-subsystem simulation consumes.
+//! [`TraceGenerator::for_each_event`] streams it lazily, one event at a
+//! time; [`TraceGenerator::chiplet_trace`] collects the same stream.
 //! Streams are deterministic — irregular patterns derive their PRNG seed
 //! from (generator seed, kernel id, chiplet, array), so every protocol
 //! configuration replays the identical trace.
 
 use crate::dispatch::DispatchPlan;
-use crate::kernel::{AccessPattern, KernelId, KernelSpec, TouchKind};
+use crate::kernel::{AccessPattern, ArrayAccess, KernelId, KernelSpec, TouchKind};
 use crate::table::ArrayTable;
 use chiplet_harness::rng::{mix64, Xoshiro256};
 use chiplet_mem::addr::{ChipletId, LineAddr};
@@ -139,7 +141,7 @@ impl KernelSpec {
     /// Static per-chiplet footprints for every array this kernel touches
     /// under `plan` — one entry per (chiplet, array), in plan order. This
     /// is the introspection surface the static elision oracle consumes:
-    /// it mirrors exactly how [`TraceGenerator::chiplet_trace`] maps plan
+    /// it mirrors exactly how [`TraceGenerator::for_each_event`] maps plan
     /// slots to line ranges.
     pub fn line_footprints(&self, arrays: &ArrayTable, plan: &DispatchPlan) -> Vec<FootprintEntry> {
         let width = plan.width();
@@ -156,6 +158,65 @@ impl KernelSpec {
             }
         }
         out
+    }
+}
+
+/// One array's line sequence for one chiplet: a single sweep's lines,
+/// produced lazily and restarted at each sweep.
+#[derive(Debug, Clone)]
+struct LineStream {
+    /// Lines per sweep.
+    len: u64,
+    /// Position within the current sweep.
+    pos: u64,
+    source: LineSource,
+}
+
+#[derive(Debug, Clone)]
+enum LineSource {
+    /// A contiguous run starting at this line (every regular pattern).
+    Run(u64),
+    /// Random draws from `rng`, re-seeded from `fresh` at each sweep start
+    /// so every sweep repeats the first one's lines.
+    Draws {
+        fresh: Xoshiro256,
+        rng: Xoshiro256,
+        locality: f64,
+        own: Range<u64>,
+        all: Range<u64>,
+    },
+}
+
+impl LineStream {
+    /// The next line, wrapping to a repeat of the sweep after `len` lines.
+    /// Must not be called on an empty stream.
+    #[inline]
+    fn next_line(&mut self) -> LineAddr {
+        if self.pos == self.len {
+            self.pos = 0;
+            if let LineSource::Draws { fresh, rng, .. } = &mut self.source {
+                *rng = *fresh;
+            }
+        }
+        let i = self.pos;
+        self.pos += 1;
+        match &mut self.source {
+            LineSource::Run(start) => LineAddr::new(*start + i),
+            LineSource::Draws {
+                rng,
+                locality,
+                own,
+                all,
+                ..
+            } => {
+                let r = rng.next_f64();
+                if r < *locality && own.end > own.start {
+                    LineAddr::new(rng.gen_range(own.clone()))
+                } else {
+                    LineAddr::new(rng.gen_range(all.clone()))
+                }
+            }
+        }
     }
 }
 
@@ -182,8 +243,57 @@ impl TraceGenerator {
         Xoshiro256::seed_from_u64(mix64(z))
     }
 
+    /// The one definition of each pattern's line sequence: the lines one
+    /// chiplet touches in one array during a single sweep, in issue order.
+    fn line_stream(
+        &self,
+        pattern: &AccessPattern,
+        decl: &ArrayDecl,
+        kernel: KernelId,
+        chiplet: ChipletId,
+        slot: usize,
+        width: usize,
+    ) -> LineStream {
+        let (len, source) = match *pattern {
+            AccessPattern::Partitioned
+            | AccessPattern::Shared
+            | AccessPattern::PartitionedHalo { .. }
+            | AccessPattern::Slice { .. } => {
+                let run = hint_lines(pattern, decl, slot, width);
+                (run.end - run.start, LineSource::Run(run.start))
+            }
+            AccessPattern::Irregular { fraction, locality } => {
+                let all = decl.line_range();
+                let total = all.end - all.start;
+                // Strong scaling: `fraction` of the array is visited by the
+                // *kernel as a whole*; each chiplet performs its 1/width
+                // share of those visits (paper SIV-E).
+                let count = ((total as f64) * fraction / width as f64).round() as u64;
+                let fresh = self.rng_for(kernel, chiplet, decl.id());
+                let own = partition_lines(all.clone(), slot, width);
+                (
+                    count,
+                    LineSource::Draws {
+                        fresh,
+                        rng: fresh,
+                        locality,
+                        own,
+                        all,
+                    },
+                )
+            }
+        };
+        LineStream {
+            len,
+            pos: 0,
+            source,
+        }
+    }
+
     /// The lines one chiplet touches in one array (single sweep, in issue
-    /// order).
+    /// order): a collect over the stream [`for_each_event`] replays.
+    ///
+    /// [`for_each_event`]: Self::for_each_event
     pub fn lines_for(
         &self,
         pattern: &AccessPattern,
@@ -193,41 +303,60 @@ impl TraceGenerator {
         slot: usize,
         width: usize,
     ) -> Vec<LineAddr> {
-        let all = decl.line_range();
-        match *pattern {
-            AccessPattern::Partitioned
-            | AccessPattern::Shared
-            | AccessPattern::PartitionedHalo { .. }
-            | AccessPattern::Slice { .. } => hint_lines(pattern, decl, slot, width)
-                .map(LineAddr::new)
+        let mut stream = self.line_stream(pattern, decl, kernel, chiplet, slot, width);
+        (0..stream.len).map(|_| stream.next_line()).collect()
+    }
+
+    /// Each array's line stream for one chiplet, with its total line
+    /// count over every sweep; `None` if the chiplet is not in the plan.
+    fn array_streams<'k>(
+        &self,
+        kernel: &'k KernelSpec,
+        id: KernelId,
+        arrays: &ArrayTable,
+        plan: &DispatchPlan,
+        chiplet: ChipletId,
+    ) -> Option<Vec<(&'k ArrayAccess, u64, LineStream)>> {
+        let slot = plan.slot_of(chiplet)?;
+        let width = plan.width();
+        Some(
+            kernel
+                .arrays()
+                .iter()
+                .map(|acc| {
+                    let decl = arrays.get(acc.array);
+                    let stream = self.line_stream(&acc.pattern, decl, id, chiplet, slot, width);
+                    (acc, stream.len * u64::from(acc.sweeps), stream)
+                })
                 .collect(),
-            AccessPattern::Irregular { fraction, locality } => {
-                let total = all.end - all.start;
-                let own = partition_lines(all.clone(), slot, width);
-                // Strong scaling: `fraction` of the array is visited by the
-                // *kernel as a whole*; each chiplet performs its 1/width
-                // share of those visits (paper SIV-E).
-                let count = ((total as f64) * fraction / width as f64).round() as u64;
-                let mut rng = self.rng_for(kernel, chiplet, decl.id());
-                (0..count)
-                    .map(|_| {
-                        let r = rng.next_f64();
-                        if r < locality && own.end > own.start {
-                            LineAddr::new(rng.gen_range(own.clone()))
-                        } else {
-                            LineAddr::new(rng.gen_range(all.clone()))
-                        }
-                    })
-                    .collect()
-            }
+        )
+    }
+
+    /// Streams the full interleaved access trace a chiplet issues for
+    /// `kernel` into `f`, in issue order, without materialising it.
+    ///
+    /// Arrays are interleaved line-by-line (mirroring `a[i], b[i], c[i]`
+    /// loop bodies); each array's line sequence is repeated `sweeps` times;
+    /// `LoadStore` touches emit a load then a store per line.
+    ///
+    /// Emits nothing if the chiplet is not in the plan.
+    pub fn for_each_event(
+        &self,
+        kernel: &KernelSpec,
+        id: KernelId,
+        arrays: &ArrayTable,
+        plan: &DispatchPlan,
+        chiplet: ChipletId,
+        f: impl FnMut(AccessEvent),
+    ) {
+        if let Some(streams) = self.array_streams(kernel, id, arrays, plan, chiplet) {
+            replay(streams, f);
         }
     }
 
-    /// The full interleaved access trace a chiplet issues for `kernel`.
-    ///
-    /// Arrays are interleaved line-by-line (mirroring `a[i], b[i], c[i]`
-    /// loop bodies); each array's line list is repeated `sweeps` times;
-    /// `LoadStore` touches emit a load then a store per line.
+    /// The full interleaved access trace a chiplet issues for `kernel`: a
+    /// collect over the stream [`for_each_event`](Self::for_each_event)
+    /// replays.
     ///
     /// Returns an empty trace if the chiplet is not in the plan.
     pub fn chiplet_trace(
@@ -238,77 +367,39 @@ impl TraceGenerator {
         plan: &DispatchPlan,
         chiplet: ChipletId,
     ) -> Vec<AccessEvent> {
-        let Some(slot) = plan.slot_of(chiplet) else {
+        let Some(streams) = self.array_streams(kernel, id, arrays, plan, chiplet) else {
             return Vec::new();
         };
-        let width = plan.width();
+        let total: u64 = streams.iter().map(|s| s.1).sum();
+        let mut events = Vec::with_capacity(total as usize * 2);
+        replay(streams, |ev| events.push(ev));
+        events
+    }
+}
 
-        struct PerArray {
-            array: ArrayId,
-            touch: TouchKind,
-            lines: Vec<LineAddr>,
-            sweeps: u32,
-        }
-
-        let lists: Vec<PerArray> = kernel
-            .arrays()
-            .iter()
-            .map(|acc| {
-                let decl = arrays.get(acc.array);
-                PerArray {
-                    array: acc.array,
-                    touch: acc.touch,
-                    lines: self.lines_for(&acc.pattern, decl, id, chiplet, slot, width),
-                    sweeps: acc.sweeps,
-                }
-            })
-            .collect();
-
-        let total: usize = lists
-            .iter()
-            .map(|l| l.lines.len() * l.sweeps as usize)
-            .sum();
-        let mut events = Vec::with_capacity(total * 2);
-        let max_len = lists
-            .iter()
-            .map(|l| l.lines.len() * l.sweeps as usize)
-            .max()
-            .unwrap_or(0);
-
-        for i in 0..max_len {
-            for l in &lists {
-                let n = l.lines.len();
-                if n == 0 || i >= n * l.sweeps as usize {
-                    continue;
-                }
-                let line = l.lines[i % n];
-                match l.touch {
-                    TouchKind::Load => events.push(AccessEvent {
-                        array: l.array,
-                        line,
-                        write: false,
-                    }),
-                    TouchKind::Store => events.push(AccessEvent {
-                        array: l.array,
-                        line,
-                        write: true,
-                    }),
-                    TouchKind::LoadStore => {
-                        events.push(AccessEvent {
-                            array: l.array,
-                            line,
-                            write: false,
-                        });
-                        events.push(AccessEvent {
-                            array: l.array,
-                            line,
-                            write: true,
-                        });
-                    }
+/// Interleaves the arrays' streams line by line into `f`.
+fn replay(mut streams: Vec<(&ArrayAccess, u64, LineStream)>, mut f: impl FnMut(AccessEvent)) {
+    let max_len = streams.iter().map(|s| s.1).max().unwrap_or(0);
+    for i in 0..max_len {
+        for (acc, total, stream) in &mut streams {
+            if i >= *total {
+                continue;
+            }
+            let line = stream.next_line();
+            let event = |write| AccessEvent {
+                array: acc.array,
+                line,
+                write,
+            };
+            match acc.touch {
+                TouchKind::Load => f(event(false)),
+                TouchKind::Store => f(event(true)),
+                TouchKind::LoadStore => {
+                    f(event(false));
+                    f(event(true));
                 }
             }
         }
-        events
     }
 }
 
@@ -604,5 +695,125 @@ mod tests {
             .build();
         assert_eq!(k, moved, "spans are provenance, not identity");
         assert_ne!(k.span().line, moved.span().line);
+    }
+
+    /// One generated kernel for the streaming property: arrays of unequal
+    /// length, each with its own pattern, touch and sweep count, dispatched
+    /// over `width` chiplets.
+    #[derive(Debug)]
+    struct StreamCase {
+        width: usize,
+        seed: u64,
+        arrays: Vec<(u64, TouchKind, AccessPattern, u32)>,
+    }
+
+    fn gen_case(rng: &mut chiplet_harness::rng::Xoshiro256, size: usize) -> StreamCase {
+        use chiplet_harness::prop::vec_of;
+        let width = 1 + rng.next_below(7) as usize;
+        let arrays = vec_of(rng, size, 1..5, |r| {
+            let lines = 1 + r.next_below(8 + 4 * size as u64);
+            let touch =
+                [TouchKind::Load, TouchKind::Store, TouchKind::LoadStore][r.next_below(3) as usize];
+            let pattern = match r.next_below(5) {
+                0 => AccessPattern::Partitioned,
+                1 => AccessPattern::PartitionedHalo {
+                    halo_lines: r.next_below(4),
+                },
+                2 => AccessPattern::Shared,
+                3 => AccessPattern::Slice {
+                    start: 0.25,
+                    end: 0.75,
+                },
+                _ => AccessPattern::Irregular {
+                    fraction: 0.25 + 0.75 * r.next_f64(),
+                    locality: [0.0, 0.5, 1.0][r.next_below(3) as usize],
+                },
+            };
+            (lines, touch, pattern, 1 + r.next_below(3) as u32)
+        });
+        StreamCase {
+            width,
+            seed: rng.next_u64(),
+            arrays,
+        }
+    }
+
+    /// The streamed trace equals the materialised reference for every
+    /// pattern x touch x sweeps: each array's single-sweep line list
+    /// repeated `sweeps` times as `lines[i % n]`, interleaved line by
+    /// line. Irregular arrays with several sweeps pin the per-sweep
+    /// re-seeding; unequal lengths pin the interleave's tail.
+    #[test]
+    fn streamed_trace_matches_the_materialised_reference() {
+        use chiplet_harness::prop::{check, PropConfig};
+        use chiplet_harness::prop_assert_eq;
+        check(
+            "streamed_trace_matches_the_materialised_reference",
+            &PropConfig::default(),
+            gen_case,
+            |case| {
+                let mut table = ArrayTable::new();
+                let mut builder = KernelSpec::builder("k").wg_count(64);
+                for (i, &(lines, touch, ref pattern, sweeps)) in case.arrays.iter().enumerate() {
+                    let id = table.alloc(format!("a{i}"), 64 * lines);
+                    builder = builder.array_swept(id, touch, pattern.clone(), sweeps);
+                }
+                let k = builder.build();
+                let chiplets: Vec<ChipletId> = ChipletId::all(case.width).collect();
+                let plan = StaticPartitionScheduler::new().plan(&k, &chiplets);
+                let g = TraceGenerator::new(case.seed);
+                let id = KernelId::new(5);
+                for chiplet in ChipletId::all(case.width + 1) {
+                    let mut want = Vec::new();
+                    if let Some(slot) = plan.slot_of(chiplet) {
+                        let lists: Vec<(&ArrayAccess, Vec<LineAddr>)> = k
+                            .arrays()
+                            .iter()
+                            .map(|acc| {
+                                let decl = table.get(acc.array);
+                                let lines = g.lines_for(
+                                    &acc.pattern,
+                                    decl,
+                                    id,
+                                    chiplet,
+                                    slot,
+                                    plan.width(),
+                                );
+                                (acc, lines)
+                            })
+                            .collect();
+                        let longest = lists
+                            .iter()
+                            .map(|(acc, l)| l.len() * acc.sweeps as usize)
+                            .max()
+                            .unwrap_or(0);
+                        for i in 0..longest {
+                            for (acc, lines) in &lists {
+                                let n = lines.len();
+                                if i >= n * acc.sweeps as usize {
+                                    continue;
+                                }
+                                let ev = |write| AccessEvent {
+                                    array: acc.array,
+                                    line: lines[i % n],
+                                    write,
+                                };
+                                match acc.touch {
+                                    TouchKind::Load => want.push(ev(false)),
+                                    TouchKind::Store => want.push(ev(true)),
+                                    TouchKind::LoadStore => want.extend([ev(false), ev(true)]),
+                                }
+                            }
+                        }
+                    }
+                    let got = g.chiplet_trace(&k, id, &table, &plan, chiplet);
+                    prop_assert_eq!(got, want);
+                    let mut streamed = Vec::new();
+                    g.for_each_event(&k, id, &table, &plan, chiplet, |ev| streamed.push(ev));
+                    prop_assert_eq!(streamed, want);
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -1,34 +1,33 @@
-//! The event-driven struct-of-arrays cache core.
+//! The event-driven set-block cache core.
 //!
 //! [`SetAssocCache`] is behaviourally identical to [`ScanCache`] (same
-//! hits, same LRU victims, same writeback order, same stats) but its bulk
-//! release/acquire operations cost O(touched lines), not O(capacity):
+//! hits, same LRU victims, same writeback order, same stats) but it keeps
+//! a few bytes per way slot and its bulk release/acquire operations cost
+//! O(touched lines), not O(capacity):
 //!
-//! * **SoA way metadata with a dense residency index** — `tags` and `lru`
-//!   live in parallel `Vec`s indexed by flat way slot (`set * ways +
-//!   way`), and a [`FlatMap`] keyed by the line's dense index maps each
-//!   resident line straight to its slot. A hit is one epoch-checked array
-//!   load — no tag walk at all — and trace replay's sequential line
-//!   streams make those loads prefetch-friendly. Working sets far larger
-//!   than the cache would make that index big and useless (miss-dominated
-//!   streams barely consult it), so it retires permanently once the
-//!   touched band outgrows [`INDEX_SLOT_BUDGET`]× the slot count and
-//!   lookups fall back to a tag scan over the set's live-way mask.
-//! * **Per-set valid bitmasks with epoch-tagged validity** — each set's
-//!   validity is one `u64` word (bit per way), meaningful only while
-//!   `set_epoch[s] == epoch`. `invalidate_all` (an acquire) bumps `epoch`:
-//!   every line is dropped in O(1) instead of clearing 131k `valid`
-//!   flags, and a set lazily re-stamps itself on its next fill. Victim
-//!   selection on a non-full set is `trailing_zeros(!mask)` — the same
-//!   first-invalid-way answer the reference scan produces.
-//! * **Dirty-word bitmaps with a pending queue** — dirtiness is one bit per
-//!   way slot, packed 64 slots to a `u64` word; each word carries its own
-//!   epoch tag so acquires also clear dirtiness in O(1). The first time a
-//!   bit is set in a word after a drain, the word index is pushed onto
-//!   `pending` (`queued_gen` guards against duplicates). A boundary drain
-//!   then visits only pending words — sorted ascending and walked with
-//!   `trailing_zeros`, which reproduces the reference scan's ascending
-//!   way-index writeback order bit-for-bit.
+//! * **One compact block per set** — each set owns one cache-line-aligned
+//!   [`SetBlock`] holding its set-relative tags (`line / sets`, a `u32`),
+//!   its exact LRU ranks (a `u8` per way, 0 = MRU), its valid-way mask
+//!   and its epoch. A lookup is a fixed-width compare of every tag in the
+//!   block (a plain loop LLVM vectorises) masked by the live ways, so one
+//!   access touches one set's block and nothing footprint-sized. A hit
+//!   ages the ways ranked below it, a fill ages every way, and a targeted
+//!   invalidation closes the rank gap, so a full set's LRU victim is the
+//!   way ranked `ways - 1`. A non-full set fills its first invalid way —
+//!   the reference scan's first-minimal tie-break.
+//! * **Epoch-tagged validity** — a block's valid mask is meaningful only
+//!   while its epoch equals the cache's. `invalidate_all` (an acquire)
+//!   bumps the cache epoch: every line is dropped in O(1), and a set
+//!   lazily re-stamps itself on its next access.
+//! * **Dirty-word bitmaps with a pending queue** — dirtiness is one bit
+//!   per way slot (`set * ways + way`), packed 64 slots to a `u64` word;
+//!   each word carries its own epoch tag so acquires also clear dirtiness
+//!   in O(1). The first time a bit is set in a word after a drain, the
+//!   word index is pushed onto `pending` (`queued_gen` guards against
+//!   duplicates). A boundary drain then visits only pending words —
+//!   sorted ascending and walked with `trailing_zeros`, which reproduces
+//!   the reference scan's ascending way-index writeback order
+//!   bit-for-bit.
 //!
 //! [`ScanCache`]: super::ScanCache
 
@@ -37,12 +36,98 @@ use super::{
     WritePolicy,
 };
 use crate::addr::LineAddr;
-use crate::flat::FlatMap;
 
-/// Residency-index budget, in multiples of the cache's way-slot count.
-/// While the touched line band fits the budget, hits cost one epoch-checked
-/// load; past it the index retires to the per-set tag scan.
-const INDEX_SLOT_BUDGET: usize = 2;
+/// The widest associativity a [`SetBlock`] holds. Every Table I geometry
+/// is 32-way (L2) or 16-way (L3); use [`ScanCache`](super::ScanCache) for
+/// wider experiments.
+const MAX_WAYS: usize = 32;
+
+/// One set's state, laid out contiguously so an access touches one block.
+/// Ways at or beyond the cache's associativity are never valid; their
+/// tags and ranks are ignored, as are those of invalid ways.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct SetBlock {
+    /// Set-relative tag per way: the line is `tag * sets + set`.
+    tag: [u32; MAX_WAYS],
+    /// Exact LRU rank per valid way: 0 is the most recently used, and the
+    /// `n` valid ways hold ranks `0..n`.
+    rank: [u8; MAX_WAYS],
+    /// Valid bit per way; meaningful iff `epoch` is the cache's epoch.
+    valid: u32,
+    epoch: u32,
+}
+
+const EMPTY_SET: SetBlock = SetBlock {
+    tag: [0; MAX_WAYS],
+    rank: [0; MAX_WAYS],
+    valid: 0,
+    epoch: 0,
+};
+
+impl SetBlock {
+    /// Bit `w` set iff way `w`'s tag equals `tag` (validity not checked).
+    #[inline]
+    fn tag_matches(&self, tag: u32) -> u32 {
+        let mut m = 0u32;
+        for (w, &t) in self.tag.iter().enumerate() {
+            m |= u32::from(t == tag) << w;
+        }
+        m
+    }
+
+    /// Bit `w` set iff way `w`'s rank equals `rank` (validity not checked).
+    #[inline]
+    fn rank_matches(&self, rank: u8) -> u32 {
+        let mut m = 0u32;
+        for (w, &r) in self.rank.iter().enumerate() {
+            m |= u32::from(r == rank) << w;
+        }
+        m
+    }
+
+    /// Makes way `w` the most recently used; the ways ranked more recent
+    /// than it age by one.
+    #[inline]
+    fn promote(&mut self, w: usize) {
+        let r = self.rank[w];
+        for x in &mut self.rank {
+            *x += u8::from(*x < r);
+        }
+        self.rank[w] = 0;
+    }
+
+    /// Installs `tag` in way `w` as the most recently used; every other
+    /// way ages by one.
+    #[inline]
+    fn fill(&mut self, w: usize, tag: u32) {
+        for x in &mut self.rank {
+            *x = x.wrapping_add(1);
+        }
+        self.rank[w] = 0;
+        self.tag[w] = tag;
+        self.valid |= 1 << w;
+    }
+
+    /// Drops way `w`, closing its gap in the rank order.
+    #[inline]
+    fn remove(&mut self, w: usize) {
+        let r = self.rank[w];
+        for x in &mut self.rank {
+            *x -= u8::from(*x > r);
+        }
+        self.valid &= !(1 << w);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn tag_overflow(line: LineAddr, sets: u64) -> ! {
+    panic!(
+        "line {} has a set-relative tag beyond u32 with {sets} sets",
+        line.get()
+    )
+}
 
 /// The event-driven set-associative cache with LRU replacement (the
 /// default core used by the simulator).
@@ -64,31 +149,15 @@ pub struct SetAssocCache {
     geom: CacheGeometry,
     policy: WritePolicy,
     /// `sets - 1` when the set count is a power of two (every Table I
-    /// geometry), letting the hot path mask instead of divide; `u64::MAX`
-    /// flags the modulo fallback.
+    /// geometry), letting the hot path mask and shift instead of divide;
+    /// `u64::MAX` flags the division fallback.
     set_mask: u64,
-    /// Full line index per way slot; the set is implied by position.
-    tags: Vec<u64>,
-    /// LRU stamp per way slot; larger is more recently used.
-    lru: Vec<u64>,
-    /// Valid bits per set, one bit per way. A set's word is meaningful iff
-    /// `set_epoch[s] == epoch`; stale words read as all-invalid and are
-    /// re-stamped lazily on the set's next fill.
-    valid_bits: Vec<u64>,
-    set_epoch: Vec<u32>,
-    /// Dense residency index: line → `epoch << 32 | (way slot + 1)`. An
-    /// entry is live iff its high word equals `epoch`, so acquires orphan
-    /// the whole index in O(1). Exact, not a superset: fills write it,
-    /// evictions and targeted invalidations erase it.
-    where_is: FlatMap<LineAddr, u64>,
-    /// Whether the residency index is still maintained. The index spans the
-    /// touched line band, so a working set far larger than the cache would
-    /// make it both huge and useless (misses dominate). Once the band
-    /// outgrows [`INDEX_SLOT_BUDGET`]× the slot count the index is retired
-    /// for good and lookups fall back to a popcount-driven tag scan of the
-    /// line's set. The switch depends only on the access stream, so results
-    /// stay deterministic.
-    index_live: bool,
+    /// `log2(sets)` when `set_mask` is live.
+    set_shift: u32,
+    ways: usize,
+    /// Valid mask of a full set.
+    full: u32,
+    sets: Vec<SetBlock>,
     /// Dirty bits, 64 way slots per word. A word's contents are meaningful
     /// iff `dirty_word_epoch[w] == epoch`; otherwise the word is stale and
     /// reads as all-clean.
@@ -101,7 +170,6 @@ pub struct SetAssocCache {
     queued_gen: Vec<u32>,
     epoch: u32,
     drain_gen: u32,
-    tick: u64,
     valid_count: u64,
     dirty_count: u64,
     stats: CacheStats,
@@ -112,39 +180,37 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry's associativity exceeds 64: validity is one
-    /// `u64` mask per set. Every Table I geometry is ≤32 ways; use
-    /// [`ScanCache`](super::ScanCache) for wider experiments.
+    /// Panics if the geometry's associativity exceeds 32, the width of a
+    /// set block. Every Table I geometry is 32-way (L2) or 16-way (L3);
+    /// use [`ScanCache`](super::ScanCache) for wider experiments.
     pub fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
+        let ways = geom.ways() as usize;
         assert!(
-            geom.ways() <= 64,
-            "SetAssocCache supports at most 64 ways; got {}",
-            geom.ways()
+            ways <= MAX_WAYS,
+            "SetAssocCache supports at most {MAX_WAYS} ways; got {ways}"
         );
         let slots = geom.total_lines() as usize;
         let words = slots.div_ceil(64);
         let sets = geom.sets();
+        let pow2 = sets.is_power_of_two();
         SetAssocCache {
             geom,
             policy,
-            set_mask: if sets.is_power_of_two() {
-                sets - 1
+            set_mask: if pow2 { sets - 1 } else { u64::MAX },
+            set_shift: if pow2 { sets.trailing_zeros() } else { 0 },
+            ways,
+            full: if ways == MAX_WAYS {
+                u32::MAX
             } else {
-                u64::MAX
+                (1 << ways) - 1
             },
-            tags: vec![0; slots],
-            lru: vec![0; slots],
-            valid_bits: vec![0; sets as usize],
-            set_epoch: vec![0; sets as usize],
-            where_is: FlatMap::new(0),
-            index_live: true,
+            sets: vec![EMPTY_SET; sets as usize],
             dirty_words: vec![0; words],
             dirty_word_epoch: vec![0; words],
             pending: Vec::new(),
             queued_gen: vec![0; words],
             epoch: 1,
             drain_gen: 1,
-            tick: 0,
             valid_count: 0,
             dirty_count: 0,
             stats: CacheStats::default(),
@@ -181,32 +247,41 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// The line's set and set-relative tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit a `u32`: aliasing it would silently
+    /// merge distinct lines.
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
-        let set = if self.set_mask != u64::MAX {
-            line.get() & self.set_mask
+    fn locate(&self, line: LineAddr) -> (usize, u32) {
+        let l = line.get();
+        let (set, tag) = if self.set_mask != u64::MAX {
+            (l & self.set_mask, l >> self.set_shift)
         } else {
-            line.get() % self.geom.sets()
+            (l % self.geom.sets(), l / self.geom.sets())
         };
-        set as usize
-    }
-
-    /// The set's valid-way mask, reading stale-epoch words as empty.
-    #[inline]
-    fn live_mask(&self, s: usize) -> u64 {
-        if self.set_epoch[s] == self.epoch {
-            self.valid_bits[s]
-        } else {
-            0
+        match u32::try_from(tag) {
+            Ok(tag) => (set as usize, tag),
+            Err(_) => tag_overflow(line, self.geom.sets()),
         }
     }
 
-    /// Stamps the set into the current epoch, clearing a stale mask.
+    /// The line held by way slot `i` (which must be valid).
     #[inline]
-    fn normalize_set(&mut self, s: usize) {
-        if self.set_epoch[s] != self.epoch {
-            self.set_epoch[s] = self.epoch;
-            self.valid_bits[s] = 0;
+    fn line_at(&self, i: usize) -> LineAddr {
+        let (s, w) = (i / self.ways, i % self.ways);
+        LineAddr::new(u64::from(self.sets[s].tag[w]) * self.geom.sets() + s as u64)
+    }
+
+    /// The set's valid-way mask, reading stale-epoch blocks as empty.
+    #[inline]
+    fn live_mask(&self, s: usize) -> u32 {
+        let b = &self.sets[s];
+        if b.epoch == self.epoch {
+            b.valid
+        } else {
+            0
         }
     }
 
@@ -265,81 +340,30 @@ impl SetAssocCache {
         self.find_way(line).is_some_and(|i| self.dirty_bit(i))
     }
 
-    /// Way slot holding `line`, if resident: one epoch-checked load from
-    /// the dense residency index while it is live, otherwise a tag scan of
-    /// the set's live ways (lowest set bit first, early-exit on match).
+    /// Way slot holding `line`, if resident.
     #[inline]
     fn find_way(&self, line: LineAddr) -> Option<usize> {
-        if self.index_live {
-            let e = self.where_is.get(line);
-            return if (e >> 32) as u32 == self.epoch {
-                Some((e as u32 as usize) - 1)
-            } else {
-                None
-            };
-        }
-        let s = self.set_index(line);
-        let mut m = self.live_mask(s);
-        let base = s * self.geom.ways() as usize;
-        let t = line.get();
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == t {
-                return Some(base + w);
-            }
-            m &= m - 1;
-        }
-        None
-    }
-
-    /// Retires the residency index once the touched band outgrows its
-    /// budget; from then on lookups tag-scan. One-way and deterministic.
-    #[inline]
-    fn audit_index_budget(&mut self) {
-        if self.where_is.allocated_slots() > INDEX_SLOT_BUDGET * self.tags.len() {
-            self.index_live = false;
-            self.where_is = FlatMap::new(0);
-        }
+        let (s, tag) = self.locate(line);
+        let hits = self.sets[s].tag_matches(tag) & self.live_mask(s);
+        (hits != 0).then(|| s * self.ways + hits.trailing_zeros() as usize)
     }
 
     fn touch(&mut self, line: LineAddr, write: bool) -> AccessOutcome {
-        self.tick += 1;
-        let tick = self.tick;
         let make_dirty = write && self.policy == WritePolicy::WriteBack;
-
-        // Locate the line. While the residency index is live this is one
-        // epoch-checked load; once retired, a single merged pass over the
-        // set's live ways checks tags *and* records the LRU victim a miss
-        // would pick, so miss-dominated streams pay one sweep, not two.
-        let s = self.set_index(line);
-        let ways = self.geom.ways() as usize;
-        let base = s * ways;
-        let mut hit_way = None;
-        let mut scanned_victim = base;
-        if self.index_live {
-            hit_way = self.find_way(line);
-        } else {
-            let mut m = self.live_mask(s);
-            let t = line.get();
-            let mut best = u64::MAX;
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                if self.tags[base + w] == t {
-                    hit_way = Some(base + w);
-                    break;
-                }
-                let l = self.lru[base + w];
-                if l < best {
-                    best = l;
-                    scanned_victim = base + w;
-                }
-                m &= m - 1;
-            }
+        let (s, tag) = self.locate(line);
+        let (epoch, full, ways) = (self.epoch, self.full, self.ways);
+        let b = &mut self.sets[s];
+        if b.epoch != epoch {
+            b.epoch = epoch;
+            b.valid = 0;
         }
 
         // Hit path.
-        if let Some(i) = hit_way {
-            self.lru[i] = tick;
+        let hits = b.tag_matches(tag) & b.valid;
+        if hits != 0 {
+            let w = hits.trailing_zeros() as usize;
+            b.promote(w);
+            let i = s * ways + w;
             if make_dirty && !self.dirty_bit(i) {
                 self.set_dirty_bit(i);
                 self.dirty_count += 1;
@@ -351,48 +375,26 @@ impl SetAssocCache {
             };
         }
 
-        // Miss: allocate (both policies write-allocate, per Table I).
-        // Victim = first way with the minimal key, matching the reference's
-        // `min_by_key(|w| if valid { lru + 1 } else { 0 })` tie-break: any
-        // invalid way keys to 0, so the first zero bit of the valid mask
-        // wins; only a full set falls back to the first-minimal LRU sweep
-        // (already performed above when the index is retired — ascending
-        // ways with a strict `<` keep the same first-minimal answer).
-        self.normalize_set(s);
-        let mask = self.valid_bits[s];
-        let full = if ways == 64 {
-            !0u64
+        // Miss: allocate (both policies write-allocate, per Table I). A
+        // non-full set fills its first invalid way; a full set evicts its
+        // least recently used way.
+        let victim_full = b.valid == full;
+        let w = if victim_full {
+            (b.rank_matches((ways - 1) as u8) & b.valid).trailing_zeros() as usize
         } else {
-            (1u64 << ways) - 1
+            (!b.valid).trailing_zeros() as usize
         };
-        let victim_full = mask == full;
-        let victim = if !victim_full {
-            base + (!mask).trailing_zeros() as usize
-        } else if !self.index_live {
-            scanned_victim
-        } else {
-            let lrus = &self.lru[base..base + ways];
-            let mut v = 0usize;
-            let mut best = lrus[0];
-            for (w, &l) in lrus.iter().enumerate().skip(1) {
-                if l < best {
-                    v = w;
-                    best = l;
-                }
-            }
-            base + v
-        };
+        let evicted =
+            victim_full.then(|| LineAddr::new(u64::from(b.tag[w]) * self.geom.sets() + s as u64));
+        b.fill(w, tag);
+        let i = s * ways + w;
 
         let mut writeback = None;
         let mut clean_eviction = None;
-        if victim_full {
-            let evicted = LineAddr::new(self.tags[victim]);
-            if self.index_live {
-                *self.where_is.get_mut(evicted) = 0;
-            }
-            if self.dirty_bit(victim) {
+        if let Some(evicted) = evicted {
+            if self.dirty_bit(i) {
                 writeback = Some(evicted);
-                self.clear_dirty_bit(victim);
+                self.clear_dirty_bit(i);
                 self.dirty_count -= 1;
                 self.stats.capacity_writebacks += 1;
             } else {
@@ -401,16 +403,9 @@ impl SetAssocCache {
             self.stats.evictions += 1;
             self.valid_count -= 1;
         }
-        self.tags[victim] = line.get();
-        self.valid_bits[s] |= 1u64 << (victim - base);
-        if self.index_live {
-            *self.where_is.get_mut(line) = (u64::from(self.epoch) << 32) | (victim as u64 + 1);
-            self.audit_index_budget();
-        }
-        self.lru[victim] = tick;
         self.valid_count += 1;
         if make_dirty {
-            self.set_dirty_bit(victim);
+            self.set_dirty_bit(i);
             self.dirty_count += 1;
         }
         self.stats.fills += 1;
@@ -468,9 +463,8 @@ impl SetAssocCache {
         let invalidated = self.valid_count;
         let dirty = self.dirty_count;
         if self.epoch == u32::MAX {
-            self.set_epoch.fill(0);
+            self.sets.iter_mut().for_each(|b| b.epoch = 0);
             self.dirty_word_epoch.fill(0);
-            self.where_is.clear();
             self.epoch = 1;
         } else {
             self.epoch += 1;
@@ -503,7 +497,7 @@ impl SetAssocCache {
             let mut bits = self.dirty_words[w];
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
-                lines.push(LineAddr::new(self.tags[w * 64 + b]));
+                lines.push(self.line_at(w * 64 + b));
                 bits &= bits - 1;
             }
             self.dirty_words[w] = 0;
@@ -522,12 +516,8 @@ impl SetAssocCache {
     pub fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
         let i = self.find_way(line)?;
         let was_dirty = self.dirty_bit(i);
-        let ways = self.geom.ways() as usize;
         // A found way implies its set is stamped into the current epoch.
-        self.valid_bits[i / ways] &= !(1u64 << (i % ways));
-        if self.index_live {
-            *self.where_is.get_mut(line) = 0;
-        }
+        self.sets[i / self.ways].remove(i % self.ways);
         self.valid_count -= 1;
         if was_dirty {
             self.clear_dirty_bit(i);
@@ -698,9 +688,65 @@ mod tests {
         assert!(c.flush_dirty_lines().is_empty());
     }
 
-    /// Differential fuzz against the reference scan implementation: every
-    /// observable (outcomes, probes, counts, drain order, stats) must match
-    /// on a mixed op stream with evictions, bulk ops and line ops.
+    /// Replays a seeded mixed op stream through both cores and demands
+    /// every observable match: outcomes, probes, counts, drain order and
+    /// stats. `mix` is the per-mille share of (`flush_line`,
+    /// `invalidate_line`, `flush_dirty_lines`, `flush_dirty`,
+    /// `invalidate_all`); the rest splits between reads, writes and probes.
+    /// Returns the reference core's final stats.
+    fn differential(
+        geom: CacheGeometry,
+        policy: WritePolicy,
+        seed: u64,
+        lines: std::ops::Range<u64>,
+        mix: [u64; 5],
+    ) -> CacheStats {
+        let mut ev = SetAssocCache::new(geom, policy);
+        let mut sc = ScanCache::new(geom, policy);
+        let mut x = seed;
+        let mut rng = move || {
+            // xorshift64* — deterministic, dependency-free.
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545f4914f6cdd1d)
+        };
+        let span = lines.end - lines.start;
+        let mut bounds = [0u64; 5];
+        let mut acc = 0;
+        for (b, m) in bounds.iter_mut().zip(mix) {
+            acc += m;
+            *b = acc;
+        }
+        let rest = 1000 - acc;
+        for _ in 0..20_000 {
+            let r = rng();
+            let line = LineAddr::new(lines.start + (r >> 32) % span);
+            match r % 1000 {
+                k if k < bounds[0] => assert_eq!(ev.flush_line(line), sc.flush_line(line)),
+                k if k < bounds[1] => {
+                    assert_eq!(ev.invalidate_line(line), sc.invalidate_line(line))
+                }
+                k if k < bounds[2] => assert_eq!(ev.flush_dirty_lines(), sc.flush_dirty_lines()),
+                k if k < bounds[3] => assert_eq!(ev.flush_dirty(), sc.flush_dirty()),
+                k if k < bounds[4] => assert_eq!(ev.invalidate_all(), sc.invalidate_all()),
+                k if k < acc + rest * 45 / 100 => assert_eq!(ev.read(line), sc.read(line)),
+                k if k < acc + rest * 90 / 100 => assert_eq!(ev.write(line), sc.write(line)),
+                _ => {
+                    assert_eq!(ev.probe(line), sc.probe(line));
+                    assert_eq!(ev.probe_dirty(line), sc.probe_dirty(line));
+                }
+            }
+            assert_eq!(ev.valid_lines(), sc.valid_lines());
+            assert_eq!(ev.dirty_lines(), sc.dirty_lines());
+        }
+        assert_eq!(ev.stats(), sc.stats());
+        assert_eq!(ev.flush_dirty_lines(), sc.flush_dirty_lines());
+        sc.stats()
+    }
+
+    /// Differential fuzz against the reference scan implementation on a
+    /// small 4-way geometry with frequent bulk and line operations.
     #[test]
     fn matches_scan_cache_on_random_op_stream() {
         for (seed, policy) in [
@@ -709,37 +755,107 @@ mod tests {
             (0x0123456789abcdefu64, WritePolicy::WriteThrough),
         ] {
             let geom = CacheGeometry::new(8192, 64, 4).unwrap(); // 32 sets x 4 ways
-            let mut ev = SetAssocCache::new(geom, policy);
-            let mut sc = ScanCache::new(geom, policy);
-            let mut x = seed;
-            let mut rng = move || {
-                // xorshift64* — deterministic, dependency-free.
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                x.wrapping_mul(0x2545f4914f6cdd1d)
-            };
-            for _ in 0..20_000 {
-                let r = rng();
-                let line = LineAddr::new(r >> 32 & 0x1ff); // 512-line footprint
-                match r % 100 {
-                    0..=44 => assert_eq!(ev.read(line), sc.read(line)),
-                    45..=84 => assert_eq!(ev.write(line), sc.write(line)),
-                    85..=88 => assert_eq!(ev.flush_line(line), sc.flush_line(line)),
-                    89..=92 => assert_eq!(ev.invalidate_line(line), sc.invalidate_line(line)),
-                    93..=95 => assert_eq!(ev.flush_dirty_lines(), sc.flush_dirty_lines()),
-                    96..=97 => assert_eq!(ev.flush_dirty(), sc.flush_dirty()),
-                    98 => assert_eq!(ev.invalidate_all(), sc.invalidate_all()),
-                    _ => {
-                        assert_eq!(ev.probe(line), sc.probe(line));
-                        assert_eq!(ev.probe_dirty(line), sc.probe_dirty(line));
-                    }
-                }
-                assert_eq!(ev.valid_lines(), sc.valid_lines());
-                assert_eq!(ev.dirty_lines(), sc.dirty_lines());
-            }
-            assert_eq!(ev.stats(), sc.stats());
-            assert_eq!(ev.flush_dirty_lines(), sc.flush_dirty_lines());
+            differential(geom, policy, seed, 0..512, [40, 40, 30, 20, 10]);
         }
+    }
+
+    /// The same differential at the Table I associativities (32-way L2,
+    /// 16-way L3) and on a non-power-of-two set count, with bulk
+    /// operations rare enough that sets fill and evict by LRU rank between
+    /// acquires, and line numbers large enough for multi-bit tags.
+    #[test]
+    fn matches_scan_cache_at_full_associativity() {
+        let geometries = [
+            (CacheGeometry::new(8 * 32 * 64, 64, 32).unwrap(), 1u64 << 20), // 8 sets
+            (CacheGeometry::new(16 * 16 * 64, 64, 16).unwrap(), 1 << 24),   // 16 sets
+            (CacheGeometry::new(6 * 32 * 64, 64, 32).unwrap(), 12_345),     // 6 sets
+            (CacheGeometry::new(12 * 16 * 64, 64, 16).unwrap(), 0),         // 12 sets
+        ];
+        for (geom, base) in geometries {
+            assert!(geom.ways() >= 16);
+            let footprint = 2 * geom.total_lines();
+            for (seed, policy) in [
+                (0x9e3779b97f4a7c15u64, WritePolicy::WriteBack),
+                (0x0123456789abcdefu64, WritePolicy::WriteThrough),
+            ] {
+                let stats = differential(
+                    geom,
+                    policy,
+                    seed ^ geom.sets(),
+                    base..base + footprint,
+                    [40, 40, 4, 3, 1],
+                );
+                assert!(
+                    stats.evictions > 1000,
+                    "{geom:?}: only {} LRU evictions exercised",
+                    stats.evictions
+                );
+                assert!(stats.invalidated > 0 && stats.bulk_invalidates > 0);
+            }
+        }
+    }
+
+    /// A full set evicts its true least-recently-used way after hits and
+    /// targeted invalidations have reshuffled the rank order, checked
+    /// against a recency list at 4 and 32 ways.
+    #[test]
+    fn full_set_evicts_true_lru_after_hits_and_invalidations() {
+        for ways in [4u32, 32] {
+            // One set, so every line competes for the same ways.
+            let geom = CacheGeometry::new(64 * u64::from(ways), 64, ways).unwrap();
+            let mut c = SetAssocCache::new(geom, WritePolicy::WriteBack);
+            // Most recently used first.
+            let mut recency: Vec<u64> = Vec::new();
+            let touch = |c: &mut SetAssocCache, recency: &mut Vec<u64>, line: u64| {
+                let out = c.read(LineAddr::new(line));
+                let want_victim = if let Some(p) = recency.iter().position(|&l| l == line) {
+                    recency.remove(p);
+                    None
+                } else if recency.len() == ways as usize {
+                    recency.pop()
+                } else {
+                    None
+                };
+                recency.insert(0, line);
+                assert_eq!(out.clean_eviction.map(LineAddr::get), want_victim);
+            };
+            let n = u64::from(ways);
+            for l in 0..n {
+                touch(&mut c, &mut recency, l);
+            }
+            // Hits in a scrambled order, then punch holes.
+            for l in (0..n).rev().step_by(3).chain((0..n).step_by(2)) {
+                touch(&mut c, &mut recency, l);
+            }
+            for l in [1, n - 1, n / 2] {
+                assert_eq!(c.invalidate_line(LineAddr::new(l)), Some(false));
+                recency.retain(|&x| x != l);
+            }
+            // Refill the holes, hit again, then overflow the set twice.
+            for l in n..n + 3 {
+                touch(&mut c, &mut recency, l);
+            }
+            touch(&mut c, &mut recency, n / 2 + 1);
+            for l in n + 3..n + 3 + 2 * n {
+                touch(&mut c, &mut recency, l);
+            }
+            assert_eq!(c.valid_lines(), n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond u32")]
+    fn a_tag_beyond_u32_fails_loudly() {
+        let mut c = small(WritePolicy::WriteBack); // 2 sets
+        c.read(LineAddr::new(1 << 40));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 ways")]
+    fn wider_than_a_set_block_is_rejected() {
+        SetAssocCache::new(
+            CacheGeometry::new(64 * 64, 64, 64).unwrap(),
+            WritePolicy::WriteBack,
+        );
     }
 }

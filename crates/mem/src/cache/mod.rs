@@ -18,10 +18,11 @@
 //! Two interchangeable implementations exist behind the [`CacheCore`]
 //! trait:
 //!
-//! * [`SetAssocCache`] — the event-driven struct-of-arrays core. Bulk
-//!   release/acquire work is proportional to the number of *touched* lines
-//!   (dirty-word pending queues, epoch-tagged validity), not cache
-//!   capacity.
+//! * [`SetAssocCache`] — the event-driven core: one compact,
+//!   cache-line-aligned block of tags, LRU ranks and validity per set, so
+//!   an access touches a few host cache lines. Bulk release/acquire work
+//!   is proportional to the number of *touched* lines (dirty-word pending
+//!   queues, epoch-tagged validity), not cache capacity.
 //! * [`ScanCache`] — the frozen per-line reference implementation whose
 //!   bulk operations walk every way. It defines the behavioural contract;
 //!   differential tests replay identical traces through both and demand

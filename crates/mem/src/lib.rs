@@ -9,7 +9,7 @@
 //!   operations GPU implicit synchronization is built from. The
 //!   event-driven [`SetAssocCache`] and the reference [`cache::ScanCache`]
 //!   are interchangeable behind the [`cache::CacheCore`] trait.
-//! * [`line_state`] — the per-line sharer/dirty bitmask table that lets the
+//! * [`line_state`] — the per-line dirty-owner bitmask table that lets the
 //!   HMG write-back protocol find a line's dirty owner without probing
 //!   every chiplet's L2.
 //! * [`directory`] — the coarse-grained (4-lines-per-entry) L2 coherence

@@ -1,21 +1,19 @@
-//! Per-line sharer/dirty bitmask table keyed by dense line indices.
+//! Per-line dirty-owner bitmask table keyed by dense line indices.
 //!
-//! [`LineStateTable`] is the struct-of-arrays line-metadata layer the
-//! event-driven engine uses to answer "which chiplet's L2 might hold this
-//! line (dirty)?" without probing every L2. Each line maps — through the
-//! [`FlatMap`] dense-index storage — to two `u64` bitmask words:
+//! [`LineStateTable`] answers "which chiplet's L2 might hold this line
+//! dirty?" without probing every L2 — the question a write-back HMG read
+//! asks before forwarding from the owner. Each line maps, through the
+//! [`FlatMap`] dense-index storage, to one `u64` **dirty mask**: bit `c`
+//! set means chiplet `c`'s L2 *may* hold the line dirty.
 //!
-//! * a **sharer mask**: chiplets whose L2 *may* hold the line, and
-//! * a **dirty mask**: chiplets whose L2 *may* hold the line dirty.
-//!
-//! Both masks are deliberately maintained as **supersets** of the truth.
-//! Every consumer pairs a mask walk with a verifying probe of the actual
-//! cache (`probe_dirty`, `invalidate_line`), so a stale set bit costs one
-//! wasted probe but can never change behaviour; a *missing* bit could, so
-//! bits are only removed on definite evidence — an observed eviction, a
-//! targeted invalidation, a flush, or a whole-chiplet acquire. This is the
-//! same superset-plus-verify discipline a hardware sharer-mask directory
-//! (e.g. HMG's) uses to stay safe under silent clean evictions.
+//! The mask is deliberately maintained as a **superset** of the truth.
+//! Its consumer pairs the mask walk with a verifying `probe_dirty` of the
+//! actual cache, so a stale set bit costs one wasted probe but can never
+//! change behaviour; a *missing* bit could, so bits are only removed on
+//! definite evidence — an observed eviction, a targeted invalidation, a
+//! flush, or a whole-chiplet acquire. This is the same superset-plus-verify
+//! discipline a hardware sharer-mask directory (e.g. HMG's) uses to stay
+//! safe under silent clean evictions.
 //!
 //! Iteration over candidate chiplets is popcount-driven: the lowest set
 //! bit is isolated with `trailing_zeros`, so a one-owner line costs one
@@ -26,7 +24,7 @@
 use crate::addr::{ChipletId, LineAddr};
 use crate::flat::FlatMap;
 
-/// Dense per-line sharer/dirty chiplet masks (superset-tracked).
+/// Dense per-line dirty-owner chiplet masks (superset-tracked).
 ///
 /// # Example
 ///
@@ -45,8 +43,6 @@ use crate::flat::FlatMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LineStateTable {
-    /// Bit `c` set: chiplet `c`'s L2 may hold the line.
-    sharers: FlatMap<LineAddr, u64>,
     /// Bit `c` set: chiplet `c`'s L2 may hold the line dirty.
     dirty: FlatMap<LineAddr, u64>,
 }
@@ -68,40 +64,18 @@ impl LineStateTable {
         LineStateTable::default()
     }
 
-    /// Records that chiplet `c`'s L2 now holds `line` (clean).
-    #[inline]
-    pub fn add_sharer(&mut self, line: LineAddr, c: ChipletId) {
-        *self.sharers.get_mut(line) |= 1u64 << c.index();
-    }
-
     /// Records that chiplet `c`'s L2 now holds `line` dirty.
     #[inline]
     pub fn mark_dirty(&mut self, line: LineAddr, c: ChipletId) {
-        let bit = 1u64 << c.index();
-        *self.sharers.get_mut(line) |= bit;
-        *self.dirty.get_mut(line) |= bit;
+        *self.dirty.get_mut(line) |= 1u64 << c.index();
     }
 
     /// Records definite evidence that chiplet `c`'s L2 no longer holds
-    /// `line` (eviction or targeted invalidation).
-    #[inline]
-    pub fn remove_sharer(&mut self, line: LineAddr, c: ChipletId) {
-        let bit = 1u64 << c.index();
-        *self.sharers.get_mut(line) &= !bit;
-        *self.dirty.get_mut(line) &= !bit;
-    }
-
-    /// Records that chiplet `c` wrote back `line` (the copy stays resident
-    /// but is now clean).
+    /// `line` dirty: it wrote the line back (the copy stays resident,
+    /// clean), evicted it, or had it invalidated.
     #[inline]
     pub fn clear_dirty(&mut self, line: LineAddr, c: ChipletId) {
         *self.dirty.get_mut(line) &= !(1u64 << c.index());
-    }
-
-    /// Chiplets whose L2 may hold `line`, in ascending chiplet order.
-    #[inline]
-    pub fn sharer_candidates(&self, line: LineAddr) -> impl Iterator<Item = ChipletId> {
-        iter_bits(self.sharers.get(line))
     }
 
     /// Chiplets whose L2 may hold `line` dirty, in ascending chiplet order.
@@ -112,12 +86,11 @@ impl LineStateTable {
         iter_bits(self.dirty.get(line))
     }
 
-    /// Drops chiplet `c` from every line's masks (a whole-L2 acquire).
+    /// Drops chiplet `c` from every line's mask (a whole-L2 acquire).
     /// O(allocated line slots), which acquires on HMG-style protocols pay
     /// rarely enough not to matter.
     pub fn clear_chiplet(&mut self, c: ChipletId) {
         let keep = !(1u64 << c.index());
-        self.sharers.values_mut().for_each(|m| *m &= keep);
         self.dirty.values_mut().for_each(|m| *m &= keep);
     }
 }
@@ -135,30 +108,14 @@ mod tests {
     }
 
     #[test]
-    fn dirty_implies_sharer() {
-        let mut t = LineStateTable::new();
-        t.mark_dirty(l(1), c(3));
-        assert_eq!(t.sharer_candidates(l(1)).collect::<Vec<_>>(), vec![c(3)]);
-        assert_eq!(t.dirty_candidates(l(1)).collect::<Vec<_>>(), vec![c(3)]);
-    }
-
-    #[test]
-    fn clear_dirty_keeps_residency() {
+    fn clear_dirty_drops_only_that_chiplet() {
         let mut t = LineStateTable::new();
         t.mark_dirty(l(1), c(0));
+        t.mark_dirty(l(1), c(2));
         t.clear_dirty(l(1), c(0));
+        assert_eq!(t.dirty_candidates(l(1)).collect::<Vec<_>>(), vec![c(2)]);
+        t.clear_dirty(l(1), c(2));
         assert_eq!(t.dirty_candidates(l(1)).count(), 0);
-        assert_eq!(t.sharer_candidates(l(1)).collect::<Vec<_>>(), vec![c(0)]);
-    }
-
-    #[test]
-    fn remove_sharer_clears_both_masks() {
-        let mut t = LineStateTable::new();
-        t.mark_dirty(l(5), c(1));
-        t.add_sharer(l(5), c(2));
-        t.remove_sharer(l(5), c(1));
-        assert_eq!(t.sharer_candidates(l(5)).collect::<Vec<_>>(), vec![c(2)]);
-        assert_eq!(t.dirty_candidates(l(5)).count(), 0);
     }
 
     #[test]
@@ -178,12 +135,15 @@ mod tests {
         let mut t = LineStateTable::new();
         for i in 0..100 {
             t.mark_dirty(l(i), c(1));
-            t.add_sharer(l(i), c(2));
+            t.mark_dirty(l(i), c(2));
         }
         t.clear_chiplet(c(1));
         for i in 0..100 {
-            assert_eq!(t.dirty_candidates(l(i)).count(), 0, "line {i}");
-            assert_eq!(t.sharer_candidates(l(i)).collect::<Vec<_>>(), vec![c(2)]);
+            assert_eq!(
+                t.dirty_candidates(l(i)).collect::<Vec<_>>(),
+                vec![c(2)],
+                "line {i}"
+            );
         }
     }
 }

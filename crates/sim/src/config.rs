@@ -144,7 +144,7 @@ impl SyncCostModel {
 /// differential tests enforce it); they differ only in wall-clock cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineCore {
-    /// The event-driven struct-of-arrays core
+    /// The event-driven set-block core
     /// ([`chiplet_mem::SetAssocCache`]): epoch-tagged validity, dirty-word
     /// pending queues, O(touched-lines) boundary drains. The default.
     EventDriven,

@@ -342,32 +342,33 @@ impl Simulator {
                 let spec = &packet.spec;
                 let mut packet_time = 0.0f64;
                 for chiplet in plan.chiplets() {
-                    let trace = tracegen.chiplet_trace(
+                    let mut lat = 0.0f64;
+                    let mut l1_acc = 0.0f64;
+                    let mut events = 0u64;
+                    let dir_remote_invals_before = mem.dir_remote_invalidations();
+                    tracegen.for_each_event(
                         spec,
                         KernelId::new(packet.id.get()),
                         workload.arrays(),
                         plan,
                         chiplet,
-                    );
-                    let mut lat = 0.0f64;
-                    let mut l1_acc = 0.0f64;
-                    let events = trace.len() as u64;
-                    round_events += events;
-                    let dir_remote_invals_before = mem.dir_remote_invalidations();
-                    for ev in &trace {
-                        counts.l1d_accesses += 1;
-                        if ev.write {
-                            lat += cfg.latency.cost(mem.write(chiplet, ev.line));
-                        } else {
-                            l1_acc += spec.l1_hit_rate();
-                            if l1_acc >= 1.0 {
-                                l1_acc -= 1.0;
-                                lat += cfg.latency.l1_hit;
+                        |ev| {
+                            events += 1;
+                            if ev.write {
+                                lat += cfg.latency.cost(mem.write(chiplet, ev.line));
                             } else {
-                                lat += cfg.latency.cost(mem.read(chiplet, ev.line));
+                                l1_acc += spec.l1_hit_rate();
+                                if l1_acc >= 1.0 {
+                                    l1_acc -= 1.0;
+                                    lat += cfg.latency.l1_hit;
+                                } else {
+                                    lat += cfg.latency.cost(mem.read(chiplet, ev.line));
+                                }
                             }
-                        }
-                    }
+                        },
+                    );
+                    round_events += events;
+                    counts.l1d_accesses += events;
                     counts.l1i_accesses += events;
                     counts.lds_accesses += (events as f64 * spec.lds_per_line()) as u64;
                     // Directory evictions caused by this chiplet's accesses

@@ -110,6 +110,15 @@ python3 perfbench/run.py --workload serve-warm --seed 1 --seconds 2 --trace 0 \
   > results/serve-warm.out
 tail -n 1 results/serve-warm.out | grep -q '"correct":true'
 
+echo "== Benchmark correctness gate on simulated rows (sweep-irregular) =="
+# A short cold sweep-irregular run of the repository benchmark: every
+# simulated row is compared byte for byte with committed
+# results/campaign.json; the result line (the last line of output) must
+# report "correct":true.
+python3 perfbench/run.py --workload sweep-irregular --seed 1 --seconds 1 --trace 0 \
+  > results/sweep-irregular.out
+tail -n 1 results/sweep-irregular.out | grep -q '"correct":true'
+
 echo "== Bench runner (fixed iterations, JSON report) =="
 CHIPLET_BENCH_ITERS=3 CHIPLET_BENCH_WARMUP=1 cargo bench --workspace
 

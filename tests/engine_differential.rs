@@ -1,7 +1,7 @@
 //! Differential gate for the event-driven engine core: every registered
 //! workload, under every protocol and a spread of chiplet counts, must
 //! produce **byte-identical** `RunMetrics` JSON whether the simulator runs
-//! on the event-driven struct-of-arrays core or the frozen per-line
+//! on the event-driven set-block core or the frozen per-line
 //! reference core. The reference core defines the behavioural contract;
 //! any divergence is a bug in the rework, never a tolerable drift.
 //!
