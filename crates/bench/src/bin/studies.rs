@@ -7,26 +7,32 @@
 //! - real 8/12/16-chiplet runs, beyond the paper's ROCm limit of 7
 //! - the table-capacity, crossbar-latency and link-bandwidth sweeps
 //!
-//! Cells under the Table 1 configuration (the beyond-7 runs, and HMG vs
-//! HMG-WB at 4 chiplets) go through `campaign::run` with the shared
-//! `results/cache/`, so the HMG cells are cache hits after a campaign and
-//! the beyond-7 tables come from the same Figure 8 renderer and summary
-//! as `results/figures.txt`. The config-variant studies change the
-//! configuration itself and run `chiplet_sim::experiments`.
+//! Every simulation is a campaign cell: the studies enumerate their cells
+//! (config-variant ones carry a `chiplet_sim::cell::Variant`), run them
+//! all in one `campaign::run` over the shared `results/cache/`, and
+//! reduce the rows into the tables. A cell's key covers what it computes,
+//! so the Table 1 cells a study compares against (and a variant that
+//! resolves to Table 1, such as a 64-entry table) are cache hits after a
+//! campaign, and a second `studies` run simulates nothing. The beyond-7
+//! tables come from the same Figure 8 renderer and summary as
+//! `results/figures.txt`.
 //!
 //! Usage: `cargo run --release -p cpelide-bench --bin studies`
 //!
+//! Prints one `studies: <n> simulated, <m> cached` line, then the tables.
 //! Honours `CPELIDE_SMOKE`, `CPELIDE_RESULTS_DIR`, `CPELIDE_JOBS` and
 //! `CPELIDE_CACHE` like the campaign. Exits 1 when a cell failed.
 
-use chiplet_coherence::ProtocolKind;
+use chiplet_coherence::ProtocolKind::{self, Baseline, CpElide, Hmg, HmgWriteBack};
 use chiplet_harness::fleet;
 use chiplet_harness::json::Json;
-use chiplet_sim::experiments::{self as ex, SweepPoint};
+use chiplet_sim::cell::Variant::{
+    self, DriverManaged, LinkBandwidth, RoundTrip, SyncReplication, Table1, TableCapacity,
+};
 use chiplet_sim::metrics::geomean;
 use chiplet_sim::{Cell, SimConfig};
 use chiplet_workloads::{ReuseClass, Workload};
-use cpelide_bench::campaign::{self, CellSpec, SuiteTag, PROTOCOLS};
+use cpelide_bench::campaign::{self, CellSpec, SuiteTag, PROTOCOLS, SCHEMA};
 use cpelide_bench::report::{pct, render_fig8};
 use cpelide_bench::{effective_suite, pick, rule, smoke, write_report, write_text};
 use std::fmt::Write as _;
@@ -37,9 +43,27 @@ const CHIPLETS: usize = 4;
 /// The workload the sensitivity sweeps run on (LUD: the largest gain).
 const SWEEP_WORKLOAD: &str = "lud";
 
-/// Runs Table 1 cells through the campaign runner and cache, exiting 1
-/// on any failed cell; returns the campaign-format document.
-fn run_cells(specs: &[CellSpec]) -> Json {
+/// §VI scaling mimic: (mimicked chiplet count, sync replication).
+const MIMICS: [(usize, u32); 2] = [(8, 2), (16, 4)];
+
+/// Adds a cell to `specs` unless one with its fingerprint is there (a
+/// cell two studies share, or a variant that resolves to Table 1), so it
+/// runs and is cached once; returns its index, which is its row's.
+fn cell(specs: &mut Vec<CellSpec>, w: &Workload, p: ProtocolKind, n: usize, v: Variant) -> usize {
+    let spec = CellSpec::new(Cell::new(w.clone(), p, n).with_variant(v), SuiteTag::Main);
+    let key = spec.fingerprint();
+    specs
+        .iter()
+        .position(|s| s.fingerprint() == key)
+        .unwrap_or_else(|| {
+            specs.push(spec);
+            specs.len() - 1
+        })
+}
+
+/// Runs `specs` through the campaign runner and cache, exiting 1 on any
+/// failed cell; returns the rows, indexed like `specs`.
+fn run_cells(specs: &[CellSpec]) -> Vec<Json> {
     let cache = campaign::cache_from_env();
     let outcome = campaign::run(specs, fleet::workers(), cache.as_ref(), None, false);
     if outcome.failed > 0 {
@@ -48,26 +72,39 @@ fn run_cells(specs: &[CellSpec]) -> Json {
         }
         std::process::exit(1);
     }
-    outcome.report
+    let (simulated, cached) = (outcome.simulated, outcome.cached);
+    println!("studies: {simulated} simulated, {cached} cached");
+    let rows = outcome.report.get("cells").and_then(Json::as_arr);
+    rows.expect("a campaign document carries its cells")
+        .to_vec()
 }
 
-fn main_specs(suite: &[Workload], protocols: &[ProtocolKind], counts: &[usize]) -> Vec<CellSpec> {
-    let mut specs = Vec::new();
-    for &n in counts {
-        for w in suite {
-            for &p in protocols {
-                specs.push(CellSpec::new(Cell::new(w.clone(), p, n), SuiteTag::Main));
-            }
-        }
-    }
-    specs
-}
-
-fn cycles(row: &Json) -> f64 {
+fn metric(row: &Json, key: &str) -> f64 {
     row.get("metrics")
-        .and_then(|m| m.get("cycles"))
+        .and_then(|m| m.get(key))
         .and_then(Json::as_f64)
-        .expect("a completed campaign row carries cycles")
+        .unwrap_or_else(|| panic!("a completed campaign row carries {key}"))
+}
+
+/// The §VI scaling cells of `w`: CPElide under Table 1, then one per
+/// entry of [`MIMICS`].
+fn scaling_cells(specs: &mut Vec<CellSpec>, w: &Workload) -> [usize; 3] {
+    let [k2, k4] = MIMICS.map(|(_, k)| SyncReplication(k));
+    [Table1, k2, k4].map(|v| cell(specs, w, CpElide, CHIPLETS, v))
+}
+
+/// Per mimicked chiplet count, the geomean slowdown of the serialised
+/// runs over Table 1 (paper: ≈1 % at 8 chiplets, ≈2 % at 16).
+fn scaling_overheads(rows: &[Json], cells: &[[usize; 3]]) -> Vec<(usize, f64)> {
+    let cycles = |i: usize| metric(&rows[i], "cycles");
+    MIMICS
+        .iter()
+        .enumerate()
+        .map(|(i, &(mimicked, _))| {
+            let slowdowns = cells.iter().map(|c| cycles(c[i + 1]) / cycles(c[0]));
+            (mimicked, geomean(slowdowns) - 1.0)
+        })
+        .collect()
 }
 
 fn table2(text: &mut String) -> Json {
@@ -149,29 +186,32 @@ fn table3(text: &mut String) -> Json {
     Json::Arr(rows)
 }
 
-fn sweep(text: &mut String, title: &str, unit: &str, points: &[SweepPoint]) -> Json {
+/// Renders one sensitivity sweep from its points: the swept value, then
+/// the Baseline and CPElide cells it compares.
+fn sweep(
+    text: &mut String,
+    title: &str,
+    unit: &str,
+    rows: &[Json],
+    points: &[(f64, usize, usize)],
+) -> Json {
     writeln!(text, "{title}").unwrap();
     writeln!(text, "{unit:<10} {:>10} {:>10}", "speedup", "sync ops").unwrap();
-    for p in points {
-        writeln!(
-            text,
-            "{:<10} {:>9.3}x {:>10}",
-            p.value, p.cpelide_speedup, p.sync_ops
-        )
-        .unwrap();
+    let mut out = Vec::new();
+    for &(value, base, cp) in points {
+        let (base, cp) = (&rows[base], &rows[cp]);
+        let speedup = metric(base, "cycles") / metric(cp, "cycles");
+        let sync_ops = metric(cp, "sync_ops") as u64;
+        writeln!(text, "{value:<10} {speedup:>9.3}x {sync_ops:>10}").unwrap();
+        out.push(
+            Json::object()
+                .with("value", value)
+                .with("cpelide_speedup", speedup)
+                .with("sync_ops", sync_ops),
+        );
     }
     text.push('\n');
-    Json::Arr(
-        points
-            .iter()
-            .map(|p| {
-                Json::object()
-                    .with("value", p.value)
-                    .with("cpelide_speedup", p.cpelide_speedup)
-                    .with("sync_ops", p.sync_ops)
-            })
-            .collect(),
-    )
+    Json::Arr(out)
 }
 
 fn main() {
@@ -180,6 +220,56 @@ fn main() {
     let mut report = Json::object()
         .with("artifact", "studies")
         .with("mode", if smoke() { "smoke" } else { "full" });
+
+    // ---- The cells of every study ---------------------------------------
+    let mut specs = Vec::new();
+    let hmg_wb: Vec<[usize; 2]> = suite
+        .iter()
+        .map(|w| [Hmg, HmgWriteBack].map(|p| cell(&mut specs, w, p, CHIPLETS, Table1)))
+        .collect();
+    let scaling: Vec<[usize; 3]> = suite.iter().map(|w| scaling_cells(&mut specs, w)).collect();
+    let driver_cells = [
+        (Baseline, Table1),
+        (CpElide, Table1),
+        (CpElide, DriverManaged),
+    ];
+    let driver: Vec<[usize; 3]> = suite
+        .iter()
+        .map(|w| driver_cells.map(|(p, v)| cell(&mut specs, w, p, CHIPLETS, v)))
+        .collect();
+    let counts = pick(vec![8usize, 12, 16], vec![8]);
+    let beyond7: Vec<usize> = counts
+        .iter()
+        .flat_map(|&n| suite.iter().flat_map(move |w| PROTOCOLS.map(|p| (w, p, n))))
+        .map(|(w, p, n)| cell(&mut specs, w, p, n, Table1))
+        .collect();
+    let name = if smoke() {
+        suite[0].name()
+    } else {
+        SWEEP_WORKLOAD
+    };
+    let w = chiplet_workloads::lookup(name).unwrap_or_else(|e| panic!("{e}"));
+    // A sweep point compares CPElide under `v` with the Baseline under
+    // `base_v`: Table 1, except that both sides pay a slower link.
+    let mut point = |value: f64, v: Variant, base_v: Variant| {
+        let base = cell(&mut specs, &w, Baseline, CHIPLETS, base_v);
+        (value, base, cell(&mut specs, &w, CpElide, CHIPLETS, v))
+    };
+    let capacities: Vec<(f64, usize, usize)> = pick(vec![2usize, 4, 8, 16, 32, 64], vec![2, 64])
+        .into_iter()
+        .map(|n| point(n as f64, TableCapacity(n), Table1))
+        .collect();
+    let latencies: Vec<(f64, usize, usize)> =
+        pick(vec![115.0, 230.0, 460.0, 920.0, 1840.0], vec![230.0])
+            .into_iter()
+            .map(|c| point(c, RoundTrip(c), Table1))
+            .collect();
+    let bandwidths: Vec<(f64, usize, usize)> = pick(vec![192.0, 384.0, 768.0, 1536.0], vec![768.0])
+        .into_iter()
+        .map(|g| point(g, LinkBandwidth(g), LinkBandwidth(g)))
+        .collect();
+    let rows = run_cells(&specs);
+    let cycles = |i: usize| metric(&rows[i], "cycles");
 
     // ---- Tables I–III ---------------------------------------------------
     let table1 = SimConfig::table1_text(CHIPLETS);
@@ -200,19 +290,7 @@ fn main() {
     text.push('\n');
 
     // ---- §IV-C HMG write-back ablation ----------------------------------
-    let doc = run_cells(&main_specs(
-        &suite,
-        &[ProtocolKind::Hmg, ProtocolKind::HmgWriteBack],
-        &[CHIPLETS],
-    ));
-    let rows = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .expect("a campaign document carries its cells");
-    let slowdown = geomean(
-        rows.chunks_exact(2)
-            .map(|pair| cycles(&pair[1]) / cycles(&pair[0])),
-    ) - 1.0;
+    let slowdown = geomean(hmg_wb.iter().map(|&[wt, wb]| cycles(wb) / cycles(wt))) - 1.0;
     writeln!(
         text,
         "§IV-C — HMG write-back vs write-through L2s ({CHIPLETS} chiplets)\n\
@@ -231,25 +309,24 @@ fn main() {
         "§VI — scaling mimic: serialized sync sets on {CHIPLETS}-chiplet CPElide"
     )
     .unwrap();
-    let mut scaling = Vec::new();
-    for (mimicked, overhead) in ex::scaling_study(&suite) {
+    let mut scaling_json = Vec::new();
+    for (mimicked, overhead) in scaling_overheads(&rows, &scaling) {
         writeln!(
             text,
             "mimicked {mimicked:>2}-chiplet system: {} average slowdown",
             pct(overhead)
         )
         .unwrap();
-        scaling.push(
+        scaling_json.push(
             Json::object()
                 .with("mimicked_chiplets", mimicked)
                 .with("average_slowdown", overhead),
         );
     }
     text.push_str("(paper: ~1 % at 8 chiplets, ~2 % at 16)\n\n");
-    report.set("scaling", Json::Arr(scaling));
+    report.set("scaling", Json::Arr(scaling_json));
 
     // ---- §VI driver-managed study ---------------------------------------
-    let driver = ex::driver_study(&suite);
     let head = format!("{:<16} {:>10} {:>10}", "workload", "CP", "driver");
     writeln!(
         text,
@@ -257,6 +334,17 @@ fn main() {
         rule(head.len())
     )
     .unwrap();
+    let driver: Vec<(&str, f64, f64)> = suite
+        .iter()
+        .zip(&driver)
+        .map(|(w, &[base, cp, drv])| {
+            (
+                w.name(),
+                cycles(base) / cycles(cp),
+                cycles(base) / cycles(drv),
+            )
+        })
+        .collect();
     for (name, cp, drv) in &driver {
         writeln!(text, "{name:<16} {cp:>9.2}x {drv:>9.2}x").unwrap();
     }
@@ -278,42 +366,33 @@ fn main() {
                 "rows",
                 driver
                     .iter()
-                    .map(|(name, cp, drv)| {
+                    .map(|&(name, cp, drv)| {
                         Json::object()
-                            .with("workload", name.as_str())
-                            .with("cp_speedup", *cp)
-                            .with("driver_speedup", *drv)
+                            .with("workload", name)
+                            .with("cp_speedup", cp)
+                            .with("driver_speedup", drv)
                     })
                     .collect::<Vec<_>>(),
             ),
     );
 
     // ---- Beyond 7 chiplets ----------------------------------------------
-    let counts = pick(vec![8usize, 12, 16], vec![8]);
-    let doc = run_cells(&main_specs(&suite, &PROTOCOLS, &counts));
+    let beyond7: Vec<Json> = beyond7.iter().map(|&i| rows[i].clone()).collect();
+    let summary = campaign::summarize(&beyond7);
+    let fig8 = summary.get("fig8").cloned().unwrap_or(Json::Null);
+    let doc = Json::object()
+        .with("schema", SCHEMA)
+        .with("cells", Json::Arr(beyond7))
+        .with("summary", summary);
     text.push_str("Beyond the ROCm limit: real runs under strong scaling\n");
     for &n in &counts {
         let table = render_fig8(&doc, n as u64).unwrap_or_else(|e| panic!("{e}"));
         writeln!(text, "{table}").unwrap();
     }
-    let fig8 = doc
-        .get("summary")
-        .and_then(|s| s.get("fig8"))
-        .cloned()
-        .unwrap_or(Json::Null);
     report.set("beyond7", fig8);
 
     // ---- Sensitivity sweeps ---------------------------------------------
-    let name = if smoke() {
-        suite[0].name()
-    } else {
-        SWEEP_WORKLOAD
-    };
-    let w = chiplet_workloads::lookup(name).unwrap_or_else(|e| panic!("{e}"));
     writeln!(text, "Sensitivity sweeps on {name} ({CHIPLETS} chiplets)").unwrap();
-    let capacities = pick(vec![2usize, 4, 8, 16, 32, 64], vec![2, 64]);
-    let latencies = pick(vec![115.0, 230.0, 460.0, 920.0, 1840.0], vec![230.0]);
-    let bandwidths = pick(vec![192.0, 384.0, 768.0, 1536.0], vec![768.0]);
     let sensitivity = Json::object()
         .with("workload", name)
         .with(
@@ -322,7 +401,8 @@ fn main() {
                 &mut text,
                 "Chiplet Coherence Table capacity (paper sizing: 64 entries)",
                 "entries",
-                &ex::table_capacity_sweep(&w, &capacities),
+                &rows,
+                &capacities,
             ),
         )
         .with(
@@ -331,7 +411,8 @@ fn main() {
                 &mut text,
                 "CP crossbar round-trip latency (paper: 230 cycles)",
                 "cycles",
-                &ex::crossbar_latency_sweep(&w, &latencies),
+                &rows,
+                &latencies,
             ),
         )
         .with(
@@ -340,7 +421,8 @@ fn main() {
                 &mut text,
                 "inter-chiplet link bandwidth (Table I: 768 GB/s)",
                 "GB/s",
-                &ex::link_bandwidth_sweep(&w, &bandwidths),
+                &rows,
+                &bandwidths,
             ),
         );
     report.set("sensitivity", sensitivity);
@@ -351,4 +433,35 @@ fn main() {
     let json_path = write_report("studies", &report);
     println!("studies: {}", text_path.display());
     println!("report: {}", json_path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The §VI scaling mimic stays a small overhead on a two-workload
+    /// suite, reduced from rows exactly as `main` reduces them.
+    #[test]
+    fn scaling_mimic_overhead_is_small() {
+        let mut specs = Vec::new();
+        let cells: Vec<[usize; 3]> = ["square", "btree"]
+            .iter()
+            .map(|n| {
+                let w = chiplet_workloads::lookup(n).unwrap_or_else(|e| panic!("{e}"));
+                scaling_cells(&mut specs, &w)
+            })
+            .collect();
+        let outcome = campaign::run(&specs, 2, None, None, false);
+        assert_eq!(outcome.failed, 0);
+        let rows = outcome.report.get("cells").and_then(Json::as_arr).unwrap();
+        let results = scaling_overheads(rows, &cells);
+        assert_eq!(results.len(), 2);
+        for (n, overhead) in results {
+            assert!(overhead >= -0.01, "mimicked {n}-chiplet overhead negative");
+            assert!(
+                overhead < 0.25,
+                "mimicked {n}-chiplet overhead too large: {overhead}"
+            );
+        }
+    }
 }

@@ -7,8 +7,12 @@
 //! `CPELIDE_JOBS` workers (cache hits are parsed instead of re-simulated)
 //! and writes `results/campaign.json` — the single machine-readable
 //! source of truth the `report` binary regenerates EXPERIMENTS.md and
-//! `results/figures.txt` from. `--bin studies` runs its off-grid Table 1
-//! cells through [`run`] as well.
+//! `results/figures.txt` from. `--bin studies` runs every cell it needs
+//! through [`run`] as well: its off-grid chiplet counts, the HMG
+//! write-back cells, and the config-variant cells of the §VI studies and
+//! the sensitivity sweeps. Each cell's key ([`CellSpec::fingerprint`])
+//! covers what it computes, so a study cell that resolves to a grid cell
+//! is that cell's cache hit.
 //!
 //! Determinism contract: the cell list, each cell's metrics, the summary
 //! and the rendered report are all independent of the worker count and of
@@ -23,7 +27,6 @@ use chiplet_harness::fleet::{
     self, CacheCounts, DiskCache, Fingerprint, FleetTelemetry, JobFailure,
 };
 use chiplet_harness::json::{self, Json};
-use chiplet_sim::config::SimConfig;
 use chiplet_sim::metrics::{geomean, RunHistograms};
 use chiplet_sim::phase::PhaseProfile;
 use chiplet_sim::Cell;
@@ -37,11 +40,12 @@ pub const SCHEMA: &str = "cpelide-campaign-v1";
 
 /// Manually-bumped model revision folded into every cell fingerprint.
 /// The per-cell fingerprint already covers the workload definition and
-/// the full `SimConfig`, but not the simulator *code*; bump this whenever
-/// engine behavior changes — i.e. exactly when the golden snapshots under
-/// `tests/golden/` are re-blessed — so stale cached cells are invalidated
-/// with the same stroke.
-pub const MODEL_REVISION: &str = "golden-r4";
+/// the resolved `SimConfig` ([`Cell::key`]), but not the simulator
+/// *code*; bump this whenever engine behavior changes — i.e. exactly when
+/// the golden snapshots under `tests/golden/` are re-blessed — so stale
+/// cached cells are invalidated with the same stroke. (`r5` marks the
+/// switch from `Debug`-rendered keys to [`Cell::key`].)
+pub const MODEL_REVISION: &str = "golden-r5";
 
 /// The protocols every sweep cell set covers (Figure 8/9/10 order).
 pub const PROTOCOLS: [ProtocolKind; 3] = [
@@ -82,13 +86,13 @@ impl SuiteTag {
 /// One enumerated campaign cell: a simulator cell plus its suite tag.
 ///
 /// The cell's fingerprint is computed on first use and memoised, so a
-/// spec pays the Debug rendering of its workload once however often its
-/// cache key and row are derived; a clone made after that carries the
+/// spec pays the encoding of its workload once however often its cache
+/// key and row are derived; a clone made after that carries the
 /// value. The memo assumes `cell` and `suite` are not changed after the
 /// first [`CellSpec::fingerprint`]; debug builds check it on every call.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
-    /// The (workload, protocol, chiplets) simulator cell.
+    /// The (workload, protocol, chiplets, variant) simulator cell.
     pub cell: Cell,
     /// Which suite the cell aggregates under.
     pub suite: SuiteTag,
@@ -105,10 +109,11 @@ impl CellSpec {
         }
     }
 
-    /// The cell's content fingerprint: workload definition, protocol,
-    /// chiplet count, the complete Table 1 `SimConfig` it resolves to,
-    /// plus [`SCHEMA`] and [`MODEL_REVISION`]. Two cells share a cache
-    /// entry only when every simulation input is identical.
+    /// The cell's content fingerprint: [`SCHEMA`], [`MODEL_REVISION`], the
+    /// suite label, the protocol and chiplet count, then what the cell
+    /// computes ([`Cell::key`]: the workload definition and the resolved
+    /// `SimConfig`). Two cells share a cache entry exactly when they
+    /// compute the same thing, whatever variant label they carry.
     ///
     /// # Panics
     ///
@@ -126,45 +131,49 @@ impl CellSpec {
     }
 
     fn compute_fingerprint(&self) -> String {
-        Fingerprint::new()
+        let fp = Fingerprint::new()
             .push_str(SCHEMA)
             .push_str(MODEL_REVISION)
             .push_str(self.suite.label())
-            .push_str(&format!("{:?}", self.cell.workload))
             .push_str(self.cell.protocol.label())
-            .push_u64(self.cell.chiplets as u64)
-            .push_str(&format!(
-                "{:?}",
-                SimConfig::table1(self.cell.chiplets, self.cell.protocol)
-            ))
-            .hex()
+            .push_u64(self.cell.chiplets as u64);
+        self.cell.key(fp).hex()
     }
 
-    /// `workload:protocol:chiplets`, the identity used by
-    /// `CPELIDE_FAIL_CELL` and in progress/error messages.
+    /// `workload:protocol:chiplets`, plus `:variant` off Table 1 (say
+    /// `lud:CPElide:4:n=8`): the identity used by `CPELIDE_FAIL_CELL` and
+    /// in progress/error messages.
     pub fn id(&self) -> String {
-        format!(
+        let c = &self.cell;
+        let id = format!(
             "{}:{}:{}",
-            self.cell.workload.name(),
-            self.cell.protocol.label(),
-            self.cell.chiplets
-        )
+            c.workload.name(),
+            c.protocol.label(),
+            c.chiplets
+        );
+        match c.variant.label() {
+            Some(variant) => id + ":" + &variant,
+            None => id,
+        }
     }
 
     /// Renders this cell's `campaign.json` row from its outcome: the
-    /// identity fields, the fingerprint, then either the parsed metrics
-    /// or the failure marker. The batch reducer and the daemon's
-    /// streaming responses both go through here, which is what makes
-    /// "served cells are byte-identical to batch cells" a structural
-    /// guarantee instead of a convention.
+    /// identity fields (with `variant` only off Table 1), the fingerprint,
+    /// then either the parsed metrics or the failure marker. The batch
+    /// reducer and the daemon's streaming responses both go through here,
+    /// which is what makes "served cells are byte-identical to batch
+    /// cells" a structural guarantee instead of a convention.
     pub fn row(&self, outcome: Result<&Json, &str>) -> Json {
         let mut row = Json::object()
             .with("workload", self.cell.workload.name())
             .with("class", self.cell.workload.class().to_string())
             .with("suite", self.suite.label())
             .with("protocol", self.cell.protocol.label())
-            .with("chiplets", self.cell.chiplets)
-            .with("fingerprint", self.fingerprint());
+            .with("chiplets", self.cell.chiplets);
+        if let Some(variant) = self.cell.variant.label() {
+            row.set("variant", variant);
+        }
+        row.set("fingerprint", self.fingerprint());
         match outcome {
             Ok(metrics) => {
                 row.set("metrics", metrics.clone());
@@ -487,7 +496,8 @@ fn l2l3_flits(metrics: &Json) -> f64 {
 }
 
 /// One row's identity as [`summarize`] aggregates it, read from the row's
-/// own fields.
+/// own fields. Only Table 1 rows have one: a config-variant row (one with
+/// a `variant` field) must never stand in for its grid cell.
 struct RowKey<'a> {
     suite: &'a str,
     workload: &'a str,
@@ -498,6 +508,9 @@ struct RowKey<'a> {
 
 impl<'a> RowKey<'a> {
     fn of(row: &'a Json) -> Option<Self> {
+        if row.get("variant").is_some() {
+            return None;
+        }
         let text = |k: &str| row.get(k).and_then(Json::as_str);
         Some(RowKey {
             suite: text("suite")?,
@@ -507,6 +520,17 @@ impl<'a> RowKey<'a> {
             chiplets: row.get("chiplets").and_then(Json::as_f64)? as u64,
         })
     }
+}
+
+/// The distinct items in first-seen order.
+pub(crate) fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+    }
+    seen
 }
 
 /// Derives the headline summary from a campaign document's `cells` rows.
@@ -538,24 +562,19 @@ pub fn summarize(rows: &[Json]) -> Json {
             })
             .and_then(|(_, m)| *m)
     };
-    let main_workloads: Vec<(&str, &str)> = {
-        let mut seen = Vec::new();
-        for (k, _) in keyed.iter().filter(|(k, _)| k.suite == main) {
-            if !seen.contains(&(k.workload, k.class)) {
-                seen.push((k.workload, k.class));
-            }
-        }
-        seen
+    let in_suite = |suite| {
+        keyed
+            .iter()
+            .map(|(k, _)| k)
+            .filter(move |k| k.suite == suite)
     };
-    let counts: Vec<u64> = {
-        let mut seen = Vec::new();
-        for (k, _) in keyed.iter().filter(|(k, _)| k.suite == main) {
-            if k.protocol != ProtocolKind::Monolithic.label() && !seen.contains(&k.chiplets) {
-                seen.push(k.chiplets);
-            }
-        }
-        seen
-    };
+    let main_workloads = distinct(in_suite(main).map(|k| (k.workload, k.class)));
+    let mono = ProtocolKind::Monolithic.label();
+    let counts = distinct(
+        in_suite(main)
+            .filter(|k| k.protocol != mono)
+            .map(|k| k.chiplets),
+    );
     let reuse = ReuseClass::ModerateHigh.to_string();
     let low = ReuseClass::Low.to_string();
     let mut summary = Json::object();
@@ -688,16 +707,7 @@ pub fn summarize(rows: &[Json]) -> Json {
     }
 
     // §VI multi-stream: CPElide vs HMG at 4 chiplets.
-    let ms_workloads: Vec<&str> = {
-        let mut seen = Vec::new();
-        for (k, _) in keyed.iter().filter(|(k, _)| k.suite == multi) {
-            if !seen.contains(&k.workload) {
-                seen.push(k.workload);
-            }
-        }
-        seen
-    };
-    let ms: Vec<f64> = ms_workloads
+    let ms: Vec<f64> = distinct(in_suite(multi).map(|k| k.workload))
         .iter()
         .filter_map(|&w| {
             let c = find(multi, w, ProtocolKind::CpElide, 4)?;
@@ -719,6 +729,7 @@ pub fn summarize(rows: &[Json]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiplet_sim::cell::Variant;
 
     #[test]
     fn enumeration_covers_every_suite_protocol_and_count() {
@@ -763,6 +774,24 @@ mod tests {
         CellSpec::new(Cell::new(w, protocol, chiplets), suite)
     }
 
+    fn variant(workload: &str, protocol: ProtocolKind, variant: Variant) -> CellSpec {
+        let w = chiplet_workloads::lookup(workload).unwrap_or_else(|e| panic!("{e}"));
+        CellSpec::new(
+            Cell::new(w, protocol, 4).with_variant(variant),
+            SuiteTag::Main,
+        )
+    }
+
+    /// A one-kernel workload whose irregular pattern touches `fraction`
+    /// of its array.
+    fn irregular(fraction: &str) -> CellSpec {
+        let text = format!(
+            "name gather\narray a 64KiB\nkernel k\n  load a irregular {fraction} 0.9\nsequence k\n"
+        );
+        let w = chiplet_workloads::parse_workload(&text).unwrap_or_else(|e| panic!("{e}"));
+        CellSpec::new(Cell::new(w, ProtocolKind::CpElide, 4), SuiteTag::Main)
+    }
+
     #[test]
     fn fingerprints_differ_across_every_cell_axis() {
         let base = spec("square", ProtocolKind::CpElide, 4, SuiteTag::Main);
@@ -770,12 +799,20 @@ mod tests {
         let by_count = spec("square", ProtocolKind::CpElide, 2, SuiteTag::Main);
         let by_suite = spec("square", ProtocolKind::CpElide, 4, SuiteTag::MultiStream);
         let by_workload = spec("btree", ProtocolKind::CpElide, 4, SuiteTag::Main);
+        let cpelide = |v| variant("square", ProtocolKind::CpElide, v);
         let prints = [
             base.fingerprint(),
             by_protocol.fingerprint(),
             by_count.fingerprint(),
             by_suite.fingerprint(),
             by_workload.fingerprint(),
+            cpelide(Variant::SyncReplication(2)).fingerprint(),
+            cpelide(Variant::TableCapacity(8)).fingerprint(),
+            cpelide(Variant::RoundTrip(460.0)).fingerprint(),
+            cpelide(Variant::LinkBandwidth(192.0)).fingerprint(),
+            cpelide(Variant::DriverManaged).fingerprint(),
+            irregular("0.5").fingerprint(),
+            irregular("0.25").fingerprint(),
         ];
         for (i, a) in prints.iter().enumerate() {
             assert_eq!(a, &prints[i], "fingerprints are stable");
@@ -784,6 +821,31 @@ mod tests {
             }
         }
         assert_eq!(base.fingerprint(), base.clone().fingerprint());
+    }
+
+    #[test]
+    fn variants_that_resolve_to_table1_key_like_the_grid_cell() {
+        let grid = spec("lud", ProtocolKind::CpElide, 4, SuiteTag::Main).fingerprint();
+        for v in [
+            Variant::LinkBandwidth(768.0),
+            Variant::TableCapacity(64),
+            Variant::RoundTrip(230.0),
+            Variant::SyncReplication(1),
+        ] {
+            let cell = variant("lud", ProtocolKind::CpElide, v);
+            assert_eq!(cell.fingerprint(), grid, "{}", cell.id());
+        }
+        let wide = variant("lud", ProtocolKind::CpElide, Variant::LinkBandwidth(1536.0));
+        assert_ne!(wide.fingerprint(), grid);
+        assert_eq!(wide.id(), "lud:CPElide:4:g=1536");
+        let row = wide.row(Ok(&Json::object()));
+        assert_eq!(row.get("variant").and_then(Json::as_str), Some("g=1536"));
+        let grid_row =
+            spec("lud", ProtocolKind::CpElide, 4, SuiteTag::Main).row(Ok(&Json::object()));
+        assert!(
+            grid_row.get("variant").is_none(),
+            "Table 1 rows keep their layout"
+        );
     }
 
     #[test]
@@ -857,6 +919,27 @@ mod tests {
         .into_iter()
         .filter(|k| summary.get(k).is_some())
         .collect()
+    }
+
+    #[test]
+    fn variant_rows_never_feed_the_summary() {
+        let mut grid = Vec::new();
+        for (w, c) in [("square", "low"), ("btree", "moderate-high")] {
+            for p in PROTOCOLS.into_iter().chain([ProtocolKind::Monolithic]) {
+                grid.push(summary_row(w, c, p, 4));
+            }
+        }
+        // A driver-managed CPElide row, slower than the grid cell, first in
+        // the document so a match by (suite, workload, protocol, chiplets)
+        // would find it before the grid row.
+        let mut slow = summary_row("square", "low", ProtocolKind::CpElide, 4);
+        slow.set("variant", "driver");
+        if let Some(m) = slow.get("metrics").cloned() {
+            slow.set("metrics", m.with("cycles", 500.0));
+        }
+        let mut mixed = vec![slow];
+        mixed.extend(grid.iter().cloned());
+        assert_eq!(summarize(&mixed).render(), summarize(&grid).render());
     }
 
     #[test]

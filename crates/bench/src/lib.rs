@@ -20,8 +20,9 @@
 //! The work outside the grid — Tables I–III, the §IV-C write-back
 //! ablation, the §VI scaling, driver and beyond-7-chiplet studies and
 //! the sensitivity sweeps — is `--bin studies`, which writes
-//! `results/studies.txt` and `results/studies.json`; its Table 1 cells go
-//! through the same [`campaign::run`] and cache. Every binary honours
+//! `results/studies.txt` and `results/studies.json`; every cell it needs,
+//! config-variant ones included, goes through the same [`campaign::run`]
+//! and cache. Every binary honours
 //! these environment variables (the full table lives in README.md):
 //!
 //! - `CPELIDE_SMOKE=1` shrinks the run to a tiny configuration (two

@@ -19,7 +19,7 @@
 //! the verdict reports the sign agreement and whether the effect came out
 //! stronger or weaker than published.
 
-use crate::campaign::SCHEMA;
+use crate::campaign::{distinct, SCHEMA};
 use chiplet_harness::json::Json;
 use std::path::PathBuf;
 
@@ -279,7 +279,8 @@ struct GridRow<'a> {
     metrics: &'a Json,
 }
 
-/// The rows of a campaign document, looked up by cell identity.
+/// The Table 1 rows of a campaign document, looked up by cell identity
+/// (a config-variant row never stands in for its grid cell).
 struct Grid<'a> {
     rows: Vec<GridRow<'a>>,
 }
@@ -296,6 +297,7 @@ impl<'a> Grid<'a> {
         };
         let rows = cells
             .iter()
+            .filter(|row| row.get("variant").is_none())
             .map(|row| {
                 Ok(GridRow {
                     suite: text(row, "suite")?,
@@ -312,13 +314,8 @@ impl<'a> Grid<'a> {
 
     /// `(workload, class)` for every workload of `suite`, in row order.
     fn workloads(&self, suite: &str) -> Vec<(&'a str, &'a str)> {
-        let mut seen: Vec<(&str, &str)> = Vec::new();
-        for r in self.rows.iter().filter(|r| r.suite == suite) {
-            if !seen.iter().any(|(w, _)| *w == r.workload) {
-                seen.push((r.workload, r.class));
-            }
-        }
-        seen
+        let rows = self.rows.iter().filter(|r| r.suite == suite);
+        distinct(rows.map(|r| (r.workload, r.class)))
     }
 
     /// The metric at `path` (e.g. `["traffic", "remote_flits"]`) of one cell.
@@ -382,13 +379,7 @@ fn speedup_table(grid: &Grid, suite: &str, chiplets: u64, title: &str) -> Result
         &format!("{:<16} {:>9} {:>9}", "workload", "CPElide", "HMG"),
     );
     let workloads = grid.workloads(suite);
-    let mut classes: Vec<&str> = Vec::new();
-    for &(_, class) in &workloads {
-        if !classes.contains(&class) {
-            classes.push(class);
-        }
-    }
-    for class in classes {
+    for class in distinct(workloads.iter().map(|&(_, class)| class)) {
         out.push_str(&format!("[{class} inter-kernel reuse]\n"));
         for &(w, _) in workloads.iter().filter(|(_, c)| *c == class) {
             let cycles = |p| grid.num(suite, w, p, chiplets, &["cycles"]);

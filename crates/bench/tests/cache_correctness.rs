@@ -1,6 +1,7 @@
 //! Cache correctness for the campaign runner: cache keys are content
-//! hashes of every simulation input, so editing one workload definition
-//! invalidates exactly that workload's cells, cached and fresh cells are
+//! hashes of what a cell computes, so editing one workload definition
+//! invalidates exactly that workload's cells, moving a kernel's source
+//! line invalidates nothing, cached and fresh cells are
 //! interchangeable in the report, and corrupt entries fall through to
 //! re-simulation instead of poisoning the results.
 
@@ -112,6 +113,28 @@ fn chiplet_count_is_part_of_the_cache_key() {
             "same workload at another count must not share a cache entry"
         );
     }
+}
+
+#[test]
+fn a_kernels_source_line_is_not_part_of_the_cache_key() {
+    let cache = DiskCache::new(fresh_dir("spans"));
+    let alpha = parse_workload(ALPHA).expect("alpha spec parses");
+    let specs = specs_for(&alpha, 2);
+    let first = campaign::run(&specs, 2, Some(&cache), None, false);
+    assert_eq!(first.simulated, specs.len());
+
+    // A comment line above each kernel moves every kernel's span down.
+    let shifted = parse_workload(&ALPHA.replace("kernel ", "# moved down\nkernel "))
+        .expect("shifted alpha parses");
+    let span = |w: &Workload| w.launches()[0].spec.span().clone();
+    assert_ne!(span(&shifted), span(&alpha), "the spans moved");
+    let moved = specs_for(&shifted, 2);
+    for (a, b) in specs.iter().zip(&moved) {
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{}", a.id());
+    }
+    let rerun = campaign::run(&moved, 2, Some(&cache), None, false);
+    assert_eq!(rerun.simulated, 0, "a moved kernel is a cache hit");
+    assert!(rerun.report.render() == first.report.render());
 }
 
 #[test]

@@ -240,6 +240,24 @@ impl KernelSpec {
     pub fn access_for(&self, array: ArrayId) -> Option<&ArrayAccess> {
         self.arrays.iter().find(|a| a.array == array)
     }
+
+    /// Every field, in declaration order, for code that must handle each
+    /// one (`chiplet_sim::Cell::key` destructures this tuple).
+    #[allow(clippy::type_complexity)]
+    pub fn parts(&self) -> (&str, &[ArrayAccess], u32, f64, f64, f64, f64, &SpecSpan) {
+        let KernelSpec {
+            name,
+            arrays,
+            wg_count,
+            compute_per_line,
+            lds_per_line,
+            l1_hit_rate,
+            mlp,
+            span,
+        } = self;
+        let (c, lds, l1, mlp) = (*compute_per_line, *lds_per_line, *l1_hit_rate, *mlp);
+        (name, arrays, *wg_count, c, lds, l1, mlp, span)
+    }
 }
 
 impl fmt::Display for KernelSpec {

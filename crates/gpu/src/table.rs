@@ -74,6 +74,13 @@ impl ArrayTable {
     pub fn footprint_bytes(&self) -> u64 {
         self.arrays.iter().map(|a| a.bytes()).sum()
     }
+
+    /// Every field, in declaration order, for code that must handle each
+    /// one (`chiplet_sim::Cell::key` destructures this tuple).
+    pub fn parts(&self) -> (&[ArrayDecl], Addr) {
+        let ArrayTable { arrays, next_base } = self;
+        (arrays, *next_base)
+    }
 }
 
 #[cfg(test)]

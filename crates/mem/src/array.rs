@@ -178,6 +178,18 @@ impl ArrayDecl {
         *self_pages.start() <= other_end + 1 && other_start <= self_pages.end() + 1
     }
 
+    /// Every field, in declaration order, for code that must handle each
+    /// one (`chiplet_sim::Cell::key` destructures this tuple).
+    pub fn parts(&self) -> (ArrayId, &str, Addr, u64) {
+        let ArrayDecl {
+            id,
+            name,
+            base,
+            bytes,
+        } = self;
+        (*id, name, *base, *bytes)
+    }
+
     /// Distance in bytes between the two arrays' spans (0 if overlapping or
     /// adjacent). Used by coarsening to merge the *closest* structures.
     pub fn gap_to(&self, other: &ArrayDecl) -> u64 {

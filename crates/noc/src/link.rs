@@ -155,15 +155,6 @@ impl CpCrossbar {
         }
     }
 
-    /// Creates a crossbar with custom latencies (for sensitivity studies).
-    pub fn with_latencies(unicast: u64, broadcast: u64) -> Self {
-        CpCrossbar {
-            unicast_latency: unicast,
-            broadcast_latency: broadcast,
-            messages_sent: 0,
-        }
-    }
-
     /// One-way latency for a message to `count` local CPs: unicast if one,
     /// broadcast otherwise. Records the messages.
     pub fn send(&mut self, count: usize) -> u64 {

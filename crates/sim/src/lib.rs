@@ -1,7 +1,10 @@
 //! The multi-chiplet GPU simulator: Table I configuration, the execution
 //! engine that drives workload traces through the protocol memory systems,
-//! run metrics, and the config-variant studies of the paper's evaluation
-//! (the grid-shaped figures come from the `cpelide-bench` campaign).
+//! run metrics, and the [`Cell`]: one simulation (workload, protocol,
+//! chiplet count, configuration [`cell::Variant`]) with its cache key.
+//! Every experiment of the evaluation, the grid figures and the
+//! config-variant studies alike, runs as cells through the `cpelide-bench`
+//! campaign.
 //!
 //! # Quick start
 //!
@@ -19,7 +22,6 @@
 pub mod cell;
 pub mod config;
 pub mod engine;
-pub mod experiments;
 pub mod metrics;
 pub mod oracle;
 pub mod phase;

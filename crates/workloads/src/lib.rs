@@ -156,6 +156,19 @@ impl Workload {
         ids.dedup();
         ids.len()
     }
+
+    /// Every field, in declaration order, for code that must handle each
+    /// one (`chiplet_sim::Cell::key` destructures this tuple).
+    pub fn parts(&self) -> (&str, &str, ReuseClass, &ArrayTable, &[Launch]) {
+        let Workload {
+            name,
+            input,
+            class,
+            arrays,
+            launches,
+        } = self;
+        (name, input, *class, arrays, launches)
+    }
 }
 
 /// Convenience for single-stream apps: wraps kernels as stream-0 launches.

@@ -44,10 +44,18 @@ cargo test --offline --manifest-path perfbench/Cargo.toml --target-dir target/pe
 
 echo "== Smoke-run the studies binary =="
 # The off-grid studies in the tiny configuration, into a scratch dir so the
-# committed results/studies.txt is left alone.
+# committed results/studies.txt is left alone. Every study cell goes through
+# the campaign cache: a second run into the same dir must simulate nothing
+# and write the same text.
+rm -rf results/studies-smoke
 CPELIDE_SMOKE=1 CPELIDE_RESULTS_DIR=results/studies-smoke \
   cargo run --release -p cpelide-bench --bin studies
 grep -q '"sensitivity"' results/studies-smoke/studies.json
+cp results/studies-smoke/studies.txt results/studies-smoke/first.txt
+CPELIDE_SMOKE=1 CPELIDE_RESULTS_DIR=results/studies-smoke \
+  cargo run --release -p cpelide-bench --bin studies > results/studies-smoke/second.log
+grep -q '^studies: 0 simulated, ' results/studies-smoke/second.log
+cmp results/studies-smoke/first.txt results/studies-smoke/studies.txt
 
 echo "== Campaign determinism smoke (CPELIDE_JOBS=1 vs 8) =="
 # The fleet's core contract: campaign.json is byte-identical at any

@@ -17,8 +17,8 @@
 //! * [`coherence`] — the protocol zoo behind one memory-system model.
 //! * [`energy`] — the per-access energy model.
 //! * [`workloads`] — the Table II applications.
-//! * [`sim`] — configuration, the engine, metrics, the config-variant
-//!   studies and the coherence oracle.
+//! * [`sim`] — configuration, the engine, metrics, the cell (one
+//!   simulation and its cache key) and the coherence oracle.
 //!
 //! # Quick start
 //!

@@ -2,92 +2,44 @@
 //!
 //! ```text
 //! cpelide-repro list
-//! cpelide-repro run --workload square --protocol cpelide --chiplets 4 [--seed N] [--stats]
-//! cpelide-repro compare --workload square [--chiplets 4]
 //! cpelide-repro oracle --workload hotspot3d [--chiplets 4] [--sample 17]
 //! ```
+//!
+//! One workload under every protocol (text, JSON, Prometheus, Perfetto) is
+//! `cargo run --release -p cpelide-bench --bin probe -- <workload>`.
 
 use cpelide_repro::coherence::ProtocolKind;
+use cpelide_repro::sim::cell::CHIPLET_RANGE;
 use cpelide_repro::sim::oracle::check_coherence;
-use cpelide_repro::sim::{SimConfig, Simulator};
-use cpelide_repro::workloads::{self, Workload};
+use cpelide_repro::workloads;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cpelide-repro list\n  cpelide-repro run --workload <name> \
-         [--protocol baseline|cpelide|hmg|hmg-wb|monolithic] [--chiplets N] [--seed N] [--stats]\n  \
-         cpelide-repro compare --workload <name> [--chiplets N]\n  \
-         cpelide-repro oracle --workload <name> [--chiplets N] [--sample K]"
+        "usage:\n  cpelide-repro list\n  \
+         cpelide-repro oracle --workload <name> [--chiplets {}..={}] [--sample K]\n\
+         per-workload protocol runs: cargo run --release -p cpelide-bench --bin probe -- <name>",
+        CHIPLET_RANGE.start(),
+        CHIPLET_RANGE.end()
     );
     ExitCode::from(2)
 }
 
-/// Minimal `--flag value` parser (no external dependencies).
-struct Args {
-    pairs: Vec<(String, String)>,
-    flags: Vec<String>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Option<Args> {
-        let mut pairs = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = raw.iter().peekable();
-        while let Some(a) = it.next() {
-            let name = a.strip_prefix("--")?;
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    pairs.push((name.to_owned(), it.next().expect("peeked").clone()));
-                }
-                _ => flags.push(name.to_owned()),
-            }
-        }
-        Some(Args { pairs, flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
-}
-
-fn find_workload(name: &str) -> Option<Workload> {
-    workloads::by_name(name).or_else(|| {
-        workloads::multi_stream_suite()
-            .into_iter()
-            .find(|w| w.name() == name.to_lowercase())
-    })
-}
-
-fn parse_protocol(s: &str) -> Option<ProtocolKind> {
-    Some(match s.to_lowercase().as_str() {
-        "baseline" => ProtocolKind::Baseline,
-        "cpelide" => ProtocolKind::CpElide,
-        "hmg" => ProtocolKind::Hmg,
-        "hmg-wb" | "hmgwb" | "hmg_wb" => ProtocolKind::HmgWriteBack,
-        "monolithic" | "mono" => ProtocolKind::Monolithic,
-        _ => return None,
-    })
+/// Parses `--name value` pairs (no external dependencies); `None` when a
+/// word is not a `--name` or a name has no value.
+fn parse_pairs(raw: &[String]) -> Option<Vec<(&str, &str)>> {
+    raw.chunks(2)
+        .map(|pair| match pair {
+            [name, value] => Some((name.strip_prefix("--")?, value.as_str())),
+            _ => None,
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first() else {
-        return usage();
-    };
-    let Some(args) = Args::parse(&raw[1..]) else {
-        return usage();
-    };
-
-    match cmd.as_str() {
-        "list" => {
+    match raw.first().map(String::as_str) {
+        Some("list") => {
             println!(
                 "{:<18} {:>8} {:>10} class",
                 "workload", "kernels", "footprint"
@@ -112,63 +64,28 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "run" => {
-            let Some(name) = args.get("workload") else {
+        Some("oracle") => {
+            let Some(pairs) = parse_pairs(&raw[1..]) else {
                 return usage();
             };
-            let Some(w) = find_workload(name) else {
-                eprintln!("unknown workload {name}; try `cpelide-repro list`");
-                return ExitCode::FAILURE;
-            };
-            let protocol = match args.get("protocol").map(parse_protocol) {
-                None => ProtocolKind::CpElide,
-                Some(Some(p)) => p,
-                Some(None) => return usage(),
-            };
-            let chiplets: usize = args.get("chiplets").map_or(4, |v| v.parse().unwrap_or(4));
-            let mut cfg = SimConfig::table1(chiplets, protocol);
-            if let Some(seed) = args.get("seed") {
-                cfg.seed = seed.parse().unwrap_or(cfg.seed);
-            }
-            let metrics = Simulator::new(cfg).run(&w);
-            if args.has("stats") {
-                print!("{}", metrics.stats_text());
-            } else {
-                println!("{metrics}");
-            }
-            ExitCode::SUCCESS
-        }
-        "compare" => {
-            let Some(name) = args.get("workload") else {
+            let known = ["workload", "chiplets", "sample"];
+            let get = |name| pairs.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+            let number = |name, default| get(name).map_or(Some(default), |v| v.parse().ok());
+            let (Some(name), Some(chiplets), Some(sample)) =
+                (get("workload"), number("chiplets", 4), number("sample", 17))
+            else {
                 return usage();
             };
-            let Some(w) = find_workload(name) else {
-                eprintln!("unknown workload {name}");
-                return ExitCode::FAILURE;
-            };
-            let chiplets: usize = args.get("chiplets").map_or(4, |v| v.parse().unwrap_or(4));
-            let base = Simulator::new(SimConfig::table1(chiplets, ProtocolKind::Baseline)).run(&w);
-            println!("{base}");
-            for p in [
-                ProtocolKind::CpElide,
-                ProtocolKind::Hmg,
-                ProtocolKind::Monolithic,
-            ] {
-                let m = Simulator::new(SimConfig::table1(chiplets, p)).run(&w);
-                println!("{m}  ({:.2}x vs Baseline)", m.speedup_over(&base));
-            }
-            ExitCode::SUCCESS
-        }
-        "oracle" => {
-            let Some(name) = args.get("workload") else {
+            if !CHIPLET_RANGE.contains(&chiplets) || pairs.iter().any(|(n, _)| !known.contains(n)) {
                 return usage();
+            }
+            let w = match workloads::lookup(name) {
+                Ok(w) => w,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
             };
-            let Some(w) = find_workload(name) else {
-                eprintln!("unknown workload {name}");
-                return ExitCode::FAILURE;
-            };
-            let chiplets: usize = args.get("chiplets").map_or(4, |v| v.parse().unwrap_or(4));
-            let sample: usize = args.get("sample").map_or(17, |v| v.parse().unwrap_or(17));
             let r = check_coherence(&w, ProtocolKind::CpElide, chiplets, sample);
             println!(
                 "checked {} reads / {} writes: {}",

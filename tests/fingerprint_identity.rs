@@ -1,14 +1,16 @@
 //! Byte-identity of cell fingerprints and of the workload registry.
 //!
-//! A cell's fingerprint is memoised on first use, and every workload is
-//! built once per process into a shared registry. Neither may change a
+//! A cell's fingerprint (`CellSpec::fingerprint`, the semantic key of
+//! `chiplet_sim::Cell::key`) is memoised on first use, and every workload
+//! is built once per process into a shared registry. Neither may change a
 //! byte of what the campaign commits:
 //!
 //! - every enumerated campaign cell's memoised fingerprint equals a fresh
 //!   computation and the `fingerprint` of its row in the committed
 //!   `results/campaign.json`;
-//! - every registered name resolves to a workload whose definition (its
-//!   Debug form, which every fingerprint hashes) equals a fresh build.
+//! - every registered name resolves to a workload whose definition equals
+//!   a fresh build, compared through the `Debug` form, which is stricter
+//!   than the key because it also holds each kernel's source span.
 
 use chiplet_harness::json::{self, Json};
 use chiplet_workloads::Workload;
