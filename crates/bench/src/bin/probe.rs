@@ -6,8 +6,10 @@
 //! per-boundary event log) written to `results/probe.json` and a
 //! Prometheus exposition in `results/probe.prom`.
 //!
-//! Usage: `cargo run --release -p cpelide-bench --bin probe -- <workload>
-//! [chiplets] [--trace out.json]`
+//! Usage: `cargo run --release -p cpelide-bench --bin probe -- [workload]
+//! [chiplets] [--trace out.json]` (default `square` at 4 chiplets). A
+//! malformed argument or a chiplet count outside 1..=16 prints the usage
+//! line and exits 2; an unknown workload exits 1.
 //!
 //! `--trace <path>` (or `CPELIDE_TRACE=<path>`) additionally exports the
 //! CPElide run's timeline as Chrome/Perfetto trace-event JSON, loadable at
@@ -15,20 +17,35 @@
 
 use chiplet_coherence::ProtocolKind;
 use chiplet_harness::json::Json;
-use chiplet_sim::{SimConfig, Simulator};
+use chiplet_sim::cell::{Cell, CHIPLET_RANGE};
+use chiplet_sim::Simulator;
 use cpelide_bench::{
     effective_suite, smoke, trace_path_from_env, write_report, write_text, write_trace,
 };
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-fn main() {
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: probe [workload] [chiplets {}..={}] [--trace out.json]",
+        CHIPLET_RANGE.start(),
+        CHIPLET_RANGE.end()
+    );
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
     let mut positional = Vec::new();
     let mut trace_to: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--trace" {
-            let p = args.next().expect("--trace requires a path");
+            let Some(p) = args.next() else {
+                return usage();
+            };
             trace_to = Some(PathBuf::from(p));
+        } else if a.starts_with("--") || positional.len() == 2 {
+            return usage();
         } else {
             positional.push(a);
         }
@@ -41,11 +58,22 @@ fn main() {
             "square".to_owned()
         }
     });
-    let chiplets: usize = positional
-        .get(1)
-        .map(|a| a.parse().expect("chiplets must be a number"))
-        .unwrap_or(4);
-    let w = chiplet_workloads::lookup(&name).unwrap_or_else(|e| panic!("{e}"));
+    let Some(chiplets) = positional.get(1).map_or(Some(4), |a| a.parse().ok()) else {
+        return usage();
+    };
+    if let Err(e) = chiplet_workloads::lookup(&name) {
+        eprintln!("probe: {e}");
+        return ExitCode::FAILURE;
+    }
+    // The workload is known, so only the chiplet count can be refused.
+    let cell = match Cell::validated(&name, ProtocolKind::Baseline.label(), chiplets) {
+        Ok(cell) => cell,
+        Err(e) => {
+            eprintln!("probe: {e}");
+            return usage();
+        }
+    };
+    let w = &cell.workload;
 
     println!(
         "{} (input {}, {} kernels, {:.1} MiB footprint, {} chiplets)",
@@ -80,13 +108,17 @@ fn main() {
         ProtocolKind::HmgWriteBack,
         ProtocolKind::Monolithic,
     ] {
-        let mut cfg = SimConfig::table1(chiplets, p);
+        let mut cfg = Cell {
+            protocol: p,
+            ..cell.clone()
+        }
+        .config();
         // The deep-dive records the per-boundary event log for the CPElide
         // run so the JSON report shows where each sync was paid; the
         // timeline trace (when requested) covers the same run.
         cfg.record_events = p == ProtocolKind::CpElide;
         cfg.record_trace = trace_to.is_some() && p == ProtocolKind::CpElide;
-        let m = Simulator::new(cfg).run(&w);
+        let m = Simulator::new(cfg).run(w);
         println!(
             "{:<11} {:>12.0} {:>12.0} {:>12.0} {:>7.1} {:>8.1} {:>10} {:>10} {:>10} {:>9} {:>8.1}",
             p.label(),
@@ -171,4 +203,5 @@ fn main() {
     println!("report: {}", path.display());
     let prom_path = write_text("probe.prom", &prom.finish());
     println!("metrics: {}", prom_path.display());
+    ExitCode::SUCCESS
 }

@@ -19,23 +19,14 @@
 //!   elision-headroom summary when `results/CHECK_oracle.json` exists
 //!   (silently skipped otherwise). Nothing is written: the fleet half is
 //!   wall-clock and host-specific, so it never lands in EXPERIMENTS.md.
-//! - `cargo run --release -p cpelide-bench --bin report -- --perf-check` —
-//!   the CI perf-regression gate: compare the fresh
-//!   `results/BENCH_hotpath.json` (run the hotpath bench first) against
-//!   the committed `results/BENCH_baseline.json`; exit 1 when a gated
-//!   speedup ratio regressed beyond tolerance. With
-//!   `CPELIDE_BLESS_BENCH=1`, rewrite the baseline from the fresh report
-//!   instead of checking.
 //!
 //! Environment: `CPELIDE_RESULTS_DIR` locates `campaign.json`,
-//! `figures.txt` and the bench reports; `CPELIDE_EXPERIMENTS` overrides the EXPERIMENTS.md path
-//! (tests); `CPELIDE_BLESS_BENCH=1` re-blesses the perf baseline.
-//! Exit codes: 0 in sync / regenerated / gate passed, 1 drift or perf
-//! regression detected, 2 usage or I/O.
+//! `campaign.prom`, `CHECK_oracle.json` and `figures.txt`;
+//! `CPELIDE_EXPERIMENTS` overrides the EXPERIMENTS.md path (tests).
+//! Exit codes: 0 in sync / regenerated, 1 drift detected, 2 usage or I/O.
 
 use chiplet_harness::json;
 use cpelide_bench::campaign::summarize;
-use cpelide_bench::perfgate;
 use cpelide_bench::report::{
     campaign_path, experiments_path, figures_path, generate_blocks, obs_section,
     oracle_headroom_section, render_figures, splice,
@@ -47,72 +38,8 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn read_json(path: &std::path::Path, hint: &str) -> json::Json {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {} ({e}); {hint}", path.display())));
-    json::parse(&text)
-        .unwrap_or_else(|e| fail(&format!("{} is not valid JSON: {e}", path.display())))
-}
-
-/// The `--perf-check` mode: gate fresh hotpath ratios against the
-/// committed baseline, or re-bless the baseline under
-/// `CPELIDE_BLESS_BENCH=1`.
-fn perf_check() -> ! {
-    let dir = cpelide_bench::results_dir();
-    let hotpath_path = dir.join("BENCH_hotpath.json");
-    let fresh_doc = read_json(
-        &hotpath_path,
-        "run `cargo bench -p cpelide-bench --bench hotpath` first",
-    );
-    let fresh = perfgate::ratios_from_hotpath(&fresh_doc).unwrap_or_else(|e| fail(&e));
-
-    let baseline_path = dir.join("BENCH_baseline.json");
-    if std::env::var("CPELIDE_BLESS_BENCH").is_ok_and(|v| v == "1") {
-        let doc = perfgate::baseline_doc(&fresh);
-        std::fs::write(&baseline_path, doc.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write {} ({e})", baseline_path.display())));
-        println!(
-            "report: blessed {} from {}",
-            baseline_path.display(),
-            hotpath_path.display()
-        );
-        std::process::exit(0);
-    }
-
-    let baseline_doc = read_json(
-        &baseline_path,
-        "bless one with CPELIDE_BLESS_BENCH=1 and commit it",
-    );
-    let baseline = perfgate::ratios_from_baseline(&baseline_doc).unwrap_or_else(|e| fail(&e));
-    let failures = perfgate::check(&fresh, &baseline, perfgate::TOLERANCE);
-    if failures.is_empty() {
-        println!(
-            "report: perf gate passed — campaign grid {:.2}x (baseline {:.2}x), \
-             oracle {:.2}x ({:.2}x), placement {:.2}x ({:.2}x)",
-            fresh.campaign_grid_event_vs_scan,
-            baseline.campaign_grid_event_vs_scan,
-            fresh.oracle_replay_flat_vs_hashmap,
-            baseline.oracle_replay_flat_vs_hashmap,
-            fresh.placement_flat_vs_hashmap,
-            baseline.placement_flat_vs_hashmap,
-        );
-        std::process::exit(0);
-    }
-    for f in &failures {
-        eprintln!("report: perf gate FAILED: {f}");
-    }
-    eprintln!(
-        "report: if the regression is intended, re-bless with \
-         CPELIDE_BLESS_BENCH=1 and commit results/BENCH_baseline.json"
-    );
-    std::process::exit(1);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--perf-check") {
-        perf_check();
-    }
     if args.iter().any(|a| a == "--obs") {
         let prom_path = cpelide_bench::results_dir().join("campaign.prom");
         let prom = std::fs::read_to_string(&prom_path).unwrap_or_else(|e| {
@@ -165,7 +92,7 @@ fn main() {
         .get("cells")
         .and_then(json::Json::as_arr)
         .unwrap_or_else(|| fail(&format!("{} has no cells array", campaign_file.display())));
-    let derived = summarize(rows).render();
+    let derived = summarize(rows).unwrap_or_else(|e| fail(&e)).render();
     let mut drifted = campaign.get("summary").map(json::Json::render) != Some(derived);
     if drifted {
         eprintln!(

@@ -378,7 +378,7 @@ fn main() {
 
     // ---- Beyond 7 chiplets ----------------------------------------------
     let beyond7: Vec<Json> = beyond7.iter().map(|&i| rows[i].clone()).collect();
-    let summary = campaign::summarize(&beyond7);
+    let summary = campaign::summarize(&beyond7).unwrap_or_else(|e| panic!("{e}"));
     let fig8 = summary.get("fig8").cloned().unwrap_or(Json::Null);
     let doc = Json::object()
         .with("schema", SCHEMA)

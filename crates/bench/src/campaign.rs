@@ -457,7 +457,9 @@ pub fn run(
     }
 
     let summary = if failed == 0 {
-        summarize(&rows)
+        // chiplet-check: allow(no-panic) — `CellSpec::row` writes every
+        // identity field, and metrics for every cell that did not fail
+        summarize(&rows).expect("ok cells' rows are well-formed")
     } else {
         Json::object().with("incomplete", true)
     };
@@ -495,30 +497,80 @@ fn l2l3_flits(metrics: &Json) -> f64 {
     num(metrics.get("traffic").unwrap_or(&Json::Null), "l2_l3_flits")
 }
 
-/// One row's identity as [`summarize`] aggregates it, read from the row's
-/// own fields. Only Table 1 rows have one: a config-variant row (one with
-/// a `variant` field) must never stand in for its grid cell.
-struct RowKey<'a> {
+/// One Table 1 row of a campaign document: its identity and metrics.
+struct GridRow<'a> {
     suite: &'a str,
     workload: &'a str,
     class: &'a str,
     protocol: &'a str,
     chiplets: u64,
+    metrics: &'a Json,
 }
 
-impl<'a> RowKey<'a> {
-    fn of(row: &'a Json) -> Option<Self> {
-        if row.get("variant").is_some() {
-            return None;
+/// The Table 1 rows of a campaign document's `cells`, looked up by cell
+/// identity: the one row index [`summarize`] and the figure renderers
+/// (`crate::report`) read. A config-variant row (one with a `variant`
+/// field) is left out: it must never stand in for its grid cell.
+pub struct Grid<'a> {
+    rows: Vec<GridRow<'a>>,
+}
+
+impl<'a> Grid<'a> {
+    /// Indexes the Table 1 rows of `cells`.
+    ///
+    /// # Errors
+    ///
+    /// A Table 1 row without a string `suite`, `workload`, `class` or
+    /// `protocol`, a numeric `chiplets` or a `metrics` field (a failed
+    /// cell's row, say) is an error naming the row's index.
+    pub fn of(cells: &'a [Json]) -> Result<Self, String> {
+        let mut rows = Vec::with_capacity(cells.len());
+        for (i, row) in cells.iter().enumerate() {
+            if row.get("variant").is_some() {
+                continue;
+            }
+            let bad = |key: &str| format!("campaign cell {i} has no valid `{key}`");
+            let text = |key: &str| -> Result<&'a str, String> {
+                row.get(key).and_then(Json::as_str).ok_or_else(|| bad(key))
+            };
+            rows.push(GridRow {
+                suite: text("suite")?,
+                workload: text("workload")?,
+                class: text("class")?,
+                protocol: text("protocol")?,
+                chiplets: row
+                    .get("chiplets")
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| bad("chiplets"))? as u64,
+                metrics: row.get("metrics").ok_or_else(|| bad("metrics"))?,
+            });
         }
-        let text = |k: &str| row.get(k).and_then(Json::as_str);
-        Some(RowKey {
-            suite: text("suite")?,
-            workload: text("workload")?,
-            class: text("class")?,
-            protocol: text("protocol")?,
-            chiplets: row.get("chiplets").and_then(Json::as_f64)? as u64,
-        })
+        Ok(Grid { rows })
+    }
+
+    /// The metrics of one cell, if the document has it.
+    pub fn get(
+        &self,
+        suite: &str,
+        workload: &str,
+        protocol: ProtocolKind,
+        chiplets: u64,
+    ) -> Option<&'a Json> {
+        self.rows
+            .iter()
+            .find(|r| {
+                r.suite == suite
+                    && r.workload == workload
+                    && r.protocol == protocol.label()
+                    && r.chiplets == chiplets
+            })
+            .map(|r| r.metrics)
+    }
+
+    /// `(workload, class)` for every workload of `suite`, in row order.
+    pub fn workloads(&self, suite: &str) -> Vec<(&'a str, &'a str)> {
+        let rows = self.rows.iter().filter(|r| r.suite == suite);
+        distinct(rows.map(|r| (r.workload, r.class)))
     }
 }
 
@@ -544,36 +596,21 @@ pub(crate) fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<
 /// one without 4-chiplet CPElide cells no `occupancy`, one without
 /// multi-stream pairs no `multistream`, and `fig8` lists only the chiplet
 /// counts that have at least one full protocol triple.
-pub fn summarize(rows: &[Json]) -> Json {
-    let keyed: Vec<(RowKey<'_>, Option<&Json>)> = rows
-        .iter()
-        .filter_map(|row| Some((RowKey::of(row)?, row.get("metrics"))))
-        .collect();
+///
+/// # Errors
+///
+/// A malformed Table 1 row, as [`Grid::of`] refuses it.
+pub fn summarize(rows: &[Json]) -> Result<Json, String> {
+    let grid = Grid::of(rows)?;
     let main = SuiteTag::Main.label();
     let multi = SuiteTag::MultiStream.label();
-    let find = |suite: &str, workload: &str, protocol: ProtocolKind, chiplets: u64| {
-        keyed
-            .iter()
-            .find(|(k, _)| {
-                k.suite == suite
-                    && k.workload == workload
-                    && k.protocol == protocol.label()
-                    && k.chiplets == chiplets
-            })
-            .and_then(|(_, m)| *m)
-    };
-    let in_suite = |suite| {
-        keyed
-            .iter()
-            .map(|(k, _)| k)
-            .filter(move |k| k.suite == suite)
-    };
-    let main_workloads = distinct(in_suite(main).map(|k| (k.workload, k.class)));
+    let main_workloads = grid.workloads(main);
     let mono = ProtocolKind::Monolithic.label();
     let counts = distinct(
-        in_suite(main)
-            .filter(|k| k.protocol != mono)
-            .map(|k| k.chiplets),
+        grid.rows
+            .iter()
+            .filter(|r| r.suite == main && r.protocol != mono)
+            .map(|r| r.chiplets),
     );
     let reuse = ReuseClass::ModerateHigh.to_string();
     let low = ReuseClass::Low.to_string();
@@ -583,8 +620,8 @@ pub fn summarize(rows: &[Json]) -> Json {
     let losses: Vec<f64> = main_workloads
         .iter()
         .filter_map(|&(w, _)| {
-            let base = find(main, w, ProtocolKind::Baseline, 4)?;
-            let mono = find(main, w, ProtocolKind::Monolithic, 4)?;
+            let base = grid.get(main, w, ProtocolKind::Baseline, 4)?;
+            let mono = grid.get(main, w, ProtocolKind::Monolithic, 4)?;
             Some(num(base, "cycles") / num(mono, "cycles") - 1.0)
         })
         .collect();
@@ -606,9 +643,15 @@ pub fn summarize(rows: &[Json]) -> Json {
     for &chiplets in &counts {
         let trip = |w: &str| {
             Some((
-                num(find(main, w, ProtocolKind::Baseline, chiplets)?, "cycles"),
-                num(find(main, w, ProtocolKind::CpElide, chiplets)?, "cycles"),
-                num(find(main, w, ProtocolKind::Hmg, chiplets)?, "cycles"),
+                num(
+                    grid.get(main, w, ProtocolKind::Baseline, chiplets)?,
+                    "cycles",
+                ),
+                num(
+                    grid.get(main, w, ProtocolKind::CpElide, chiplets)?,
+                    "cycles",
+                ),
+                num(grid.get(main, w, ProtocolKind::Hmg, chiplets)?, "cycles"),
             ))
         };
         let trips: Vec<(&str, (f64, f64, f64))> = main_workloads
@@ -651,9 +694,9 @@ pub fn summarize(rows: &[Json]) -> Json {
         let per: Vec<(f64, f64, f64)> = main_workloads
             .iter()
             .filter_map(|&(w, _)| {
-                let b = f(find(main, w, ProtocolKind::Baseline, 4)?);
-                let c = f(find(main, w, ProtocolKind::CpElide, 4)?);
-                let h = f(find(main, w, ProtocolKind::Hmg, 4)?);
+                let b = f(grid.get(main, w, ProtocolKind::Baseline, 4)?);
+                let c = f(grid.get(main, w, ProtocolKind::CpElide, 4)?);
+                let h = f(grid.get(main, w, ProtocolKind::Hmg, 4)?);
                 Some((c / b, c / h, h / b))
             })
             .collect();
@@ -690,7 +733,7 @@ pub fn summarize(rows: &[Json]) -> Json {
     // §III-A occupancy over the CPElide cells at 4 chiplets.
     let tables: Vec<&Json> = main_workloads
         .iter()
-        .filter_map(|&(w, _)| find(main, w, ProtocolKind::CpElide, 4)?.get("table"))
+        .filter_map(|&(w, _)| grid.get(main, w, ProtocolKind::CpElide, 4)?.get("table"))
         .collect();
     if !tables.is_empty() {
         let (mut max_live, mut evictions) = (0.0f64, 0.0f64);
@@ -707,11 +750,12 @@ pub fn summarize(rows: &[Json]) -> Json {
     }
 
     // §VI multi-stream: CPElide vs HMG at 4 chiplets.
-    let ms: Vec<f64> = distinct(in_suite(multi).map(|k| k.workload))
+    let ms: Vec<f64> = grid
+        .workloads(multi)
         .iter()
-        .filter_map(|&w| {
-            let c = find(multi, w, ProtocolKind::CpElide, 4)?;
-            let h = find(multi, w, ProtocolKind::Hmg, 4)?;
+        .filter_map(|&(w, _)| {
+            let c = grid.get(multi, w, ProtocolKind::CpElide, 4)?;
+            let h = grid.get(multi, w, ProtocolKind::Hmg, 4)?;
             Some(num(h, "cycles") / num(c, "cycles"))
         })
         .collect();
@@ -723,7 +767,7 @@ pub fn summarize(rows: &[Json]) -> Json {
                 .with("cpelide_vs_hmg", geomean(ms.iter().copied())),
         );
     }
-    summary
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -939,7 +983,10 @@ mod tests {
         }
         let mut mixed = vec![slow];
         mixed.extend(grid.iter().cloned());
-        assert_eq!(summarize(&mixed).render(), summarize(&grid).render());
+        assert_eq!(
+            summarize(&mixed).unwrap().render(),
+            summarize(&grid).unwrap().render()
+        );
     }
 
     #[test]
@@ -952,7 +999,7 @@ mod tests {
                 [ProtocolKind::Hmg, ProtocolKind::HmgWriteBack].map(|p| summary_row(w, c, p, 4))
             })
             .collect();
-        let summary = summarize(&hmg_wb);
+        let summary = summarize(&hmg_wb).unwrap();
         assert_eq!(keys(&summary), ["fig8"]);
         assert_eq!(summary.get("fig8").and_then(Json::as_arr), Some(&[][..]));
 
@@ -961,7 +1008,7 @@ mod tests {
             .iter()
             .flat_map(|&(w, c)| PROTOCOLS.map(|p| summary_row(w, c, p, 8)))
             .collect();
-        let summary = summarize(&beyond);
+        let summary = summarize(&beyond).unwrap();
         assert_eq!(keys(&summary), ["fig8"]);
         let fig8 = summary.get("fig8").and_then(Json::as_arr).unwrap();
         assert_eq!(fig8.len(), 1);
@@ -977,7 +1024,7 @@ mod tests {
                 grid.push(summary_row(w, c, p, 4));
             }
         }
-        let summary = summarize(&grid);
+        let summary = summarize(&grid).unwrap();
         assert_eq!(
             keys(&summary),
             ["fig2", "fig8", "energy", "traffic", "occupancy"]

@@ -44,7 +44,6 @@
 // than let a silent skip masquerade as regenerated results.
 
 pub mod campaign;
-pub mod perfgate;
 pub mod report;
 pub mod serve;
 pub mod telemetry;

@@ -19,7 +19,8 @@
 //! the verdict reports the sign agreement and whether the effect came out
 //! stronger or weaker than published.
 
-use crate::campaign::{distinct, SCHEMA};
+use crate::campaign::{distinct, Grid, SCHEMA};
+use chiplet_coherence::ProtocolKind;
 use chiplet_harness::json::Json;
 use std::path::PathBuf;
 
@@ -114,7 +115,7 @@ pub fn summary_of(campaign: &Json) -> Result<&Json, String> {
 /// Returns a description of the first missing or mistyped field.
 pub fn generate_blocks(campaign: &Json) -> Result<Vec<(String, String)>, String> {
     let summary = summary_of(campaign)?;
-    let grid = Grid::of(campaign)?;
+    let grid = &grid_of(campaign)?;
     let fig8 = fig8_entries(summary)?;
     let at4 = fig8_entry(summary, FIG_CHIPLETS)?;
 
@@ -202,7 +203,7 @@ pub fn generate_blocks(campaign: &Json) -> Result<Vec<(String, String)>, String>
     ));
 
     // ---- Figure 10 remote traffic ---------------------------------------
-    let (hmg_more, cpelide_more, apps) = remote_counts(&grid)?;
+    let (hmg_more, cpelide_more, apps) = remote_counts(grid)?;
     blocks.push((
         "fig10".to_owned(),
         format!(
@@ -269,78 +270,29 @@ fn fig8_entry(summary: &Json, chiplets: u64) -> Result<&Json, String> {
         .ok_or_else(|| format!("campaign.json has no fig8 entry for {chiplets} chiplets"))
 }
 
-/// One campaign row's identity and metrics.
-struct GridRow<'a> {
-    suite: &'a str,
-    workload: &'a str,
-    class: &'a str,
-    protocol: &'a str,
-    chiplets: f64,
-    metrics: &'a Json,
+/// The Table 1 rows of a campaign document's `cells` array.
+fn grid_of(campaign: &Json) -> Result<Grid<'_>, String> {
+    let cells = get(campaign, &["cells"])?
+        .as_arr()
+        .ok_or("campaign.json `cells` is not an array")?;
+    Grid::of(cells)
 }
 
-/// The Table 1 rows of a campaign document, looked up by cell identity
-/// (a config-variant row never stands in for its grid cell).
-struct Grid<'a> {
-    rows: Vec<GridRow<'a>>,
-}
-
-impl<'a> Grid<'a> {
-    fn of(campaign: &'a Json) -> Result<Self, String> {
-        let cells = get(campaign, &["cells"])?
-            .as_arr()
-            .ok_or("campaign.json `cells` is not an array")?;
-        let text = |row: &'a Json, key: &str| -> Result<&'a str, String> {
-            get(row, &[key])?
-                .as_str()
-                .ok_or_else(|| format!("campaign.json cell `{key}` is not a string"))
-        };
-        let rows = cells
-            .iter()
-            .filter(|row| row.get("variant").is_none())
-            .map(|row| {
-                Ok(GridRow {
-                    suite: text(row, "suite")?,
-                    workload: text(row, "workload")?,
-                    class: text(row, "class")?,
-                    protocol: text(row, "protocol")?,
-                    chiplets: getf(row, &["chiplets"])?,
-                    metrics: get(row, &["metrics"])?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(Grid { rows })
-    }
-
-    /// `(workload, class)` for every workload of `suite`, in row order.
-    fn workloads(&self, suite: &str) -> Vec<(&'a str, &'a str)> {
-        let rows = self.rows.iter().filter(|r| r.suite == suite);
-        distinct(rows.map(|r| (r.workload, r.class)))
-    }
-
-    /// The metric at `path` (e.g. `["traffic", "remote_flits"]`) of one cell.
-    fn num(
-        &self,
-        suite: &str,
-        workload: &str,
-        protocol: &str,
-        chiplets: u64,
-        path: &[&str],
-    ) -> Result<f64, String> {
-        let row = self
-            .rows
-            .iter()
-            .find(|r| {
-                r.suite == suite
-                    && r.workload == workload
-                    && r.protocol == protocol
-                    && r.chiplets == chiplets as f64
-            })
-            .ok_or_else(|| {
-                format!("campaign.json has no {suite} cell {workload}:{protocol}:{chiplets}")
-            })?;
-        getf(row.metrics, path)
-    }
+/// The metric at `path` (e.g. `["traffic", "remote_flits"]`) of one cell.
+fn cell_num(
+    grid: &Grid,
+    suite: &str,
+    workload: &str,
+    protocol: ProtocolKind,
+    chiplets: u64,
+    path: &[&str],
+) -> Result<f64, String> {
+    let metrics = grid
+        .get(suite, workload, protocol, chiplets)
+        .ok_or_else(|| {
+            format!("campaign.json has no {suite} cell {workload}:{protocol}:{chiplets}")
+        })?;
+    getf(metrics, path)
 }
 
 /// Figure 10's remote-traffic comparison at 4 chiplets: on how many main
@@ -350,8 +302,8 @@ fn remote_counts(grid: &Grid) -> Result<(usize, usize, usize), String> {
     let main = grid.workloads(MAIN);
     let (mut hmg_more, mut cpelide_more) = (0, 0);
     for &(w, _) in &main {
-        let remote = |p| grid.num(MAIN, w, p, FIG_CHIPLETS, &["traffic", "remote_flits"]);
-        let (c, h) = (remote("CPElide")?, remote("HMG")?);
+        let remote = |p| cell_num(grid, MAIN, w, p, FIG_CHIPLETS, &["traffic", "remote_flits"]);
+        let (c, h) = (remote(ProtocolKind::CpElide)?, remote(ProtocolKind::Hmg)?);
         if h > c {
             hmg_more += 1;
         } else if c > h {
@@ -382,12 +334,12 @@ fn speedup_table(grid: &Grid, suite: &str, chiplets: u64, title: &str) -> Result
     for class in distinct(workloads.iter().map(|&(_, class)| class)) {
         out.push_str(&format!("[{class} inter-kernel reuse]\n"));
         for &(w, _) in workloads.iter().filter(|(_, c)| *c == class) {
-            let cycles = |p| grid.num(suite, w, p, chiplets, &["cycles"]);
-            let base = cycles("Baseline")?;
+            let cycles = |p| cell_num(grid, suite, w, p, chiplets, &["cycles"]);
+            let base = cycles(ProtocolKind::Baseline)?;
             out.push_str(&format!(
                 "{w:<16} {:>9.2} {:>9.2}\n",
-                base / cycles("CPElide")?,
-                base / cycles("HMG")?
+                base / cycles(ProtocolKind::CpElide)?,
+                base / cycles(ProtocolKind::Hmg)?
             ));
         }
     }
@@ -426,7 +378,7 @@ fn fig8_section(grid: &Grid, entry: &Json) -> Result<String, String> {
 /// Returns a description of the first missing cell or field.
 pub fn render_fig8(campaign: &Json, chiplets: u64) -> Result<String, String> {
     let summary = summary_of(campaign)?;
-    fig8_section(&Grid::of(campaign)?, fig8_entry(summary, chiplets)?)
+    fig8_section(&grid_of(campaign)?, fig8_entry(summary, chiplets)?)
 }
 
 /// Renders `results/figures.txt`: the per-workload tables of Figure 2,
@@ -438,7 +390,7 @@ pub fn render_fig8(campaign: &Json, chiplets: u64) -> Result<String, String> {
 /// Returns a description of the first missing cell or field.
 pub fn render_figures(campaign: &Json) -> Result<String, String> {
     let summary = summary_of(campaign)?;
-    let grid = Grid::of(campaign)?;
+    let grid = &grid_of(campaign)?;
     let main = grid.workloads(MAIN);
     let n = FIG_CHIPLETS;
     let mut out = String::from(
@@ -452,8 +404,8 @@ pub fn render_figures(campaign: &Json) -> Result<String, String> {
         &format!("{:<16} {:>9}", "workload", "loss"),
     ));
     for &(w, _) in &main {
-        let cycles = |p| grid.num(MAIN, w, p, n, &["cycles"]);
-        let loss = cycles("Baseline")? / cycles("Monolithic")? - 1.0;
+        let cycles = |p| cell_num(grid, MAIN, w, p, n, &["cycles"]);
+        let loss = cycles(ProtocolKind::Baseline)? / cycles(ProtocolKind::Monolithic)? - 1.0;
         out.push_str(&format!("{w:<16} {:>7.1} %\n", loss * 100.0));
     }
     out.push_str(&format!(
@@ -463,7 +415,7 @@ pub fn render_figures(campaign: &Json) -> Result<String, String> {
     ));
 
     for entry in fig8_entries(summary)? {
-        out.push_str(&fig8_section(&grid, entry)?);
+        out.push_str(&fig8_section(grid, entry)?);
         out.push('\n');
     }
 
@@ -475,12 +427,12 @@ pub fn render_figures(campaign: &Json) -> Result<String, String> {
         &format!("{:<16} {:>9} {:>9}", "workload", "CPElide", "HMG"),
     ));
     for &(w, _) in &main {
-        let energy = |p| grid.num(MAIN, w, p, n, &["energy_total_uj"]);
-        let base = energy("Baseline")?;
+        let energy = |p| cell_num(grid, MAIN, w, p, n, &["energy_total_uj"]);
+        let base = energy(ProtocolKind::Baseline)?;
         out.push_str(&format!(
             "{w:<16} {:>9.3} {:>9.3}\n",
-            energy("CPElide")? / base,
-            energy("HMG")? / base
+            energy(ProtocolKind::CpElide)? / base,
+            energy(ProtocolKind::Hmg)? / base
         ));
     }
     for (label, key) in [
@@ -504,11 +456,12 @@ pub fn render_figures(campaign: &Json) -> Result<String, String> {
     ));
     for &(w, _) in &main {
         let flits = |p| -> Result<[f64; 3], String> {
-            let f = |k| grid.num(MAIN, w, p, n, &["traffic", k]);
+            let f = |k| cell_num(grid, MAIN, w, p, n, &["traffic", k]);
             Ok([f("l1_l2_flits")?, f("l2_l3_flits")?, f("remote_flits")?])
         };
-        let base: f64 = flits("Baseline")?.iter().sum();
-        let [c, h] = [flits("CPElide")?, flits("HMG")?].map(|f| f.map(|x| x / base));
+        let base: f64 = flits(ProtocolKind::Baseline)?.iter().sum();
+        let [c, h] =
+            [flits(ProtocolKind::CpElide)?, flits(ProtocolKind::Hmg)?].map(|f| f.map(|x| x / base));
         let split = |f: [f64; 3]| format!("{:.2}/{:.2}/{:.2}", f[0], f[1], f[2]);
         out.push_str(&format!(
             "{w:<16} {:>9.3} {:>9.3}  {:<14}  {}\n",
@@ -526,7 +479,7 @@ pub fn render_figures(campaign: &Json) -> Result<String, String> {
     ] {
         out.push_str(&geo_line(label, getf(summary, &["traffic", key])?));
     }
-    let (hmg_more, cpelide_more, apps) = remote_counts(&grid)?;
+    let (hmg_more, cpelide_more, apps) = remote_counts(grid)?;
     out.push_str(&format!(
         "remote flits: HMG > CPElide on {hmg_more} of {apps} apps, \
          CPElide > HMG on {cpelide_more}\n\n"
@@ -537,7 +490,7 @@ pub fn render_figures(campaign: &Json) -> Result<String, String> {
         &format!("{:<16} {:>9} {:>10}", "workload", "max live", "evictions"),
     ));
     for &(w, _) in &main {
-        let table = |k| grid.num(MAIN, w, "CPElide", n, &["table", k]);
+        let table = |k| cell_num(grid, MAIN, w, ProtocolKind::CpElide, n, &["table", k]);
         out.push_str(&format!(
             "{w:<16} {:>9} {:>10}\n",
             table("max_live_entries")?,
@@ -551,7 +504,7 @@ pub fn render_figures(campaign: &Json) -> Result<String, String> {
     ));
 
     out.push_str(&speedup_table(
-        &grid,
+        grid,
         "multistream",
         n,
         &format!("§VI — multi-stream performance vs Baseline ({n} chiplets)"),
@@ -985,6 +938,30 @@ mod tests {
         let doc = sample_campaign().with("cells", Json::Arr(cells));
         let err = render_figures(&doc).expect_err("must fail");
         assert!(err.contains("alpha:Monolithic:4"), "{err}");
+    }
+
+    #[test]
+    fn a_malformed_grid_row_fails_the_summary_and_the_figures_alike() {
+        for key in [
+            "suite", "workload", "class", "protocol", "chiplets", "metrics",
+        ] {
+            let mut cells = sample_cells();
+            if let Json::Obj(fields) = &mut cells[3] {
+                fields.retain(|(k, _)| k != key);
+            }
+            let doc = sample_campaign().with("cells", Json::Arr(cells.clone()));
+            let from_summary = crate::campaign::summarize(&cells).expect_err("summary refuses");
+            let from_figures = render_figures(&doc).expect_err("figures refuse");
+            assert_eq!(from_summary, from_figures, "{key}");
+            assert!(from_summary.contains("cell 3"), "{key}: {from_summary}");
+            assert!(from_summary.contains(&format!("`{key}`")), "{from_summary}");
+        }
+        // A config-variant row is skipped by both, whatever it lacks.
+        let mut cells = sample_cells();
+        cells.insert(3, Json::object().with("variant", "driver"));
+        let doc = sample_campaign().with("cells", Json::Arr(cells.clone()));
+        crate::campaign::summarize(&cells).expect("variant rows are skipped");
+        render_figures(&doc).expect("variant rows are skipped");
     }
 
     #[test]

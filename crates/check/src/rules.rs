@@ -671,7 +671,7 @@ mod tests {
         assert_eq!(classify("crates/sim/src/engine.rs").crate_name, "sim");
         assert_eq!(classify("crates/sim/src/engine.rs").kind, FileKind::Lib);
         assert_eq!(
-            classify("crates/bench/benches/hotpath.rs").kind,
+            classify("crates/bench/benches/microbench.rs").kind,
             FileKind::BinLike
         );
         assert_eq!(classify("src/main.rs").kind, FileKind::BinLike);

@@ -18,15 +18,18 @@
 //! Two interchangeable implementations exist behind the [`CacheCore`]
 //! trait:
 //!
-//! * [`SetAssocCache`] — the event-driven core: one compact,
+//! * [`SetAssocCache`] — the event-driven core the simulator runs on
+//!   (`chiplet_sim::Simulator::run`): one compact,
 //!   cache-line-aligned block of tags, LRU ranks and validity per set, so
 //!   an access touches a few host cache lines. Bulk release/acquire work
 //!   is proportional to the number of *touched* lines (dirty-word pending
 //!   queues, epoch-tagged validity), not cache capacity.
 //! * [`ScanCache`] — the frozen per-line reference implementation whose
-//!   bulk operations walk every way. It defines the behavioural contract;
-//!   differential tests replay identical traces through both and demand
-//!   byte-identical metrics.
+//!   bulk operations walk every way. Nothing simulates on it by default;
+//!   it defines the behavioural contract, and differential tests replay
+//!   identical traces through both (the unit tests of `event.rs`, and
+//!   `Simulator::run_with::<ScanCache>` in the workspace's
+//!   `tests/engine_differential.rs`) and demand byte-identical metrics.
 
 use crate::addr::LineAddr;
 use std::error::Error;

@@ -138,23 +138,9 @@ impl SyncCostModel {
     }
 }
 
-/// Which cache-core implementation the engine drives the trace through.
-///
-/// Both cores are observationally identical (the golden snapshots and the
-/// differential tests enforce it); they differ only in wall-clock cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineCore {
-    /// The event-driven set-block core
-    /// ([`chiplet_mem::SetAssocCache`]): epoch-tagged validity, dirty-word
-    /// pending queues, O(touched-lines) boundary drains. The default.
-    EventDriven,
-    /// The frozen per-line reference core ([`chiplet_mem::ScanCache`]):
-    /// bulk operations walk every way. Kept for differential testing and
-    /// the `cells_per_sec` speedup baseline.
-    ReferenceScan,
-}
-
-/// Full simulation configuration.
+/// Full simulation configuration: what is simulated, not how. The cache
+/// core the engine runs on is a type parameter of
+/// [`crate::engine::Simulator::run_with`], not a setting.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Number of chiplets (Table I evaluates 2, 4, 6 and 7).
@@ -210,10 +196,6 @@ pub struct SimConfig {
     /// is a few integer ops per transition and doubles as a correctness
     /// net for coherence changes.
     pub audit_cct: bool,
-    /// Cache-core implementation to simulate on (identical metrics either
-    /// way; [`EngineCore::EventDriven`] is ~an order of magnitude faster on
-    /// bulk-sync-heavy protocols).
-    pub engine_core: EngineCore,
 }
 
 impl SimConfig {
@@ -248,7 +230,6 @@ impl SimConfig {
             record_events: false,
             record_trace: false,
             audit_cct: true,
-            engine_core: EngineCore::EventDriven,
         }
     }
 

@@ -11,7 +11,7 @@
 //! bandwidth-limited dirty-line drains, CP round trips — are serialized
 //! with execution, exactly the overhead CPElide exists to elide.
 
-use crate::config::{EngineCore, SimConfig};
+use crate::config::SimConfig;
 use crate::metrics::{RunHistograms, RunMetrics, SyncCounters};
 use crate::phase::{PhaseProfile, SimPhase};
 use chiplet_coherence::{MemorySystem, ProtocolKind};
@@ -23,7 +23,7 @@ use chiplet_gpu::trace::TraceGenerator;
 use chiplet_harness::obs::EventLog;
 use chiplet_mem::addr::ChipletId;
 use chiplet_mem::cache::CacheCore;
-use chiplet_mem::{ScanCache, SetAssocCache};
+use chiplet_mem::SetAssocCache;
 use chiplet_noc::link::LinkUtilization;
 use chiplet_obs::Tracer;
 use chiplet_workloads::Workload;
@@ -52,19 +52,16 @@ impl Simulator {
         &self.config
     }
 
-    /// Runs `workload` to completion and reports metrics, on the cache
-    /// core selected by [`SimConfig::engine_core`].
+    /// Runs `workload` to completion and reports metrics, on the
+    /// event-driven cache core ([`SetAssocCache`]).
     pub fn run(&self, workload: &Workload) -> RunMetrics {
-        match self.config.engine_core {
-            EngineCore::EventDriven => self.run_with::<SetAssocCache>(workload),
-            EngineCore::ReferenceScan => self.run_with::<ScanCache>(workload),
-        }
+        self.run_with::<SetAssocCache>(workload)
     }
 
-    /// Runs `workload` to completion on an explicit cache core `C`. Both
-    /// cores produce byte-identical [`RunMetrics`] (enforced by the golden
-    /// snapshots and the engine differential test); the event-driven core
-    /// is the fast one.
+    /// Runs `workload` to completion on an explicit cache core `C`. Every
+    /// core produces byte-identical [`RunMetrics`]; the engine
+    /// differential test holds [`SetAssocCache`] to the per-line
+    /// reference [`chiplet_mem::ScanCache`] this way.
     pub fn run_with<C: CacheCore>(&self, workload: &Workload) -> RunMetrics {
         let cfg = &self.config;
         let n = cfg.num_chiplets;

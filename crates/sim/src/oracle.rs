@@ -34,9 +34,9 @@
 //! dense-index storage ([`chiplet_mem::flat`]): version and truth maps are
 //! [`FlatMap`]s, per-chiplet shadow L2s are epoch-versioned slabs whose
 //! acquire is a single generation bump, and first-touch homes reuse the
-//! same [`PageTable`] the timing model uses. The original `HashMap`-backed
-//! shadow is retained as [`ShadowKind::HashReference`] so benchmarks can
-//! measure the speedup and tests can cross-check byte-identical reports.
+//! same [`PageTable`] the timing model uses. The unit tests keep the
+//! original `HashMap`-backed shadow as a reference and require
+//! byte-identical reports from it.
 
 use crate::config::SimConfig;
 use chiplet_coherence::ProtocolKind;
@@ -44,13 +44,12 @@ use chiplet_gpu::dispatch::StaticPartitionScheduler;
 use chiplet_gpu::kernel::KernelId;
 use chiplet_gpu::stream::SoftwareQueue;
 use chiplet_gpu::trace::TraceGenerator;
-use chiplet_mem::addr::{ChipletId, LineAddr, PageAddr};
+use chiplet_mem::addr::{ChipletId, LineAddr};
 use chiplet_mem::flat::{EpochSlab, FlatMap};
 use chiplet_mem::page::PageTable;
 use chiplet_workloads::Workload;
 use cpelide::api::KernelLaunchInfo;
 use cpelide::cp::GlobalCp;
-use std::collections::HashMap;
 
 /// One observed coherence violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,10 +92,6 @@ pub enum ShadowKind {
     /// Flat dense-index storage with epoch-versioned shadow L2s — the
     /// default and the fast path.
     Flat,
-    /// The original `HashMap`-backed shadow, kept as a behavioural
-    /// reference: reports must match [`ShadowKind::Flat`] exactly, and the
-    /// `hotpath` benchmark measures the flat speedup against it.
-    HashReference,
     /// A *bounded* set-associative shadow L2 whose capacity evictions
     /// publish dirty versions down to global memory. Used to test the
     /// eviction-monotonicity claim: bounding the cache can only make data
@@ -127,7 +122,8 @@ fn advance_truth(t: &mut (u64, u64), kernel: u64) {
 }
 
 /// The shadow-memory operations the replay loop drives. One implementation
-/// per [`ShadowKind`]; all three must agree on observable behaviour.
+/// per [`ShadowKind`], plus the unit tests' hash reference; all must agree
+/// on observable behaviour.
 trait ShadowMem {
     /// Publish chiplet `c`'s dirty versions to global memory.
     fn release(&mut self, c: ChipletId);
@@ -310,141 +306,6 @@ impl ShadowMem for FlatShadow {
 
     fn pages_placed(&self) -> u64 {
         self.homes.placed_pages() as u64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hash reference shadow: the original implementation, kept verbatim so the
-// flat rework stays honest (identical reports, measurable speedup).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct HashShadow {
-    global: HashMap<LineAddr, u64>,
-    l2: Vec<HashMap<LineAddr, ShadowEntry>>,
-    truth: HashMap<LineAddr, (u64, u64)>,
-    homes: HashMap<PageAddr, ChipletId>,
-}
-
-impl HashShadow {
-    fn new(chiplets: usize) -> Self {
-        HashShadow {
-            l2: (0..chiplets).map(|_| HashMap::new()).collect(),
-            ..Default::default()
-        }
-    }
-
-    fn home_of(&mut self, line: LineAddr, toucher: ChipletId) -> ChipletId {
-        *self.homes.entry(line.page()).or_insert(toucher)
-    }
-}
-
-impl ShadowMem for HashShadow {
-    fn release(&mut self, c: ChipletId) {
-        // chiplet-check: allow(hash-iter) — frozen reference shadow; the flush is a
-        // commutative max-merge, so hash order cannot reach any observable output
-        for (line, e) in self.l2[c.index()].iter_mut() {
-            if e.dirty {
-                let g = self.global.entry(*line).or_insert(0);
-                *g = (*g).max(e.version);
-                e.dirty = false;
-            }
-        }
-    }
-
-    fn acquire(&mut self, c: ChipletId) {
-        self.release(c);
-        self.l2[c.index()].clear();
-    }
-
-    fn write(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
-        let prev = match self.truth.get(&line) {
-            Some(&(v, p)) if v == kernel => p, // same-kernel rewrite
-            Some(&(v, _)) => v,
-            None => 0,
-        };
-        self.truth.insert(line, (kernel, prev));
-        let home = self.home_of(line, c);
-        if home == c {
-            self.l2[c.index()].insert(
-                line,
-                ShadowEntry {
-                    version: kernel,
-                    dirty: true,
-                },
-            );
-        } else {
-            let g = self.global.entry(line).or_insert(0);
-            *g = (*g).max(kernel);
-        }
-    }
-
-    fn read(&mut self, c: ChipletId, line: LineAddr) -> u64 {
-        let home = self.home_of(line, c);
-        if home == c {
-            if let Some(e) = self.l2[c.index()].get(&line) {
-                return e.version;
-            }
-            let v = self.global.get(&line).copied().unwrap_or(0);
-            self.l2[c.index()].insert(
-                line,
-                ShadowEntry {
-                    version: v,
-                    dirty: false,
-                },
-            );
-            v
-        } else {
-            self.global.get(&line).copied().unwrap_or(0)
-        }
-    }
-
-    fn write_through(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
-        let prev = match self.truth.get(&line) {
-            Some(&(v, p)) if v == kernel => p,
-            Some(&(v, _)) => v,
-            None => 0,
-        };
-        self.truth.insert(line, (kernel, prev));
-        let g = self.global.entry(line).or_insert(0);
-        *g = (*g).max(kernel);
-        // chiplet-check: allow(hash-iter) — iterates the outer per-chiplet Vec, in index order
-        for (i, l2) in self.l2.iter_mut().enumerate() {
-            if i == c.index() {
-                l2.insert(
-                    line,
-                    ShadowEntry {
-                        version: kernel,
-                        dirty: false,
-                    },
-                );
-            } else {
-                l2.remove(&line);
-            }
-        }
-    }
-
-    fn read_shared(&mut self, c: ChipletId, line: LineAddr) -> u64 {
-        if let Some(e) = self.l2[c.index()].get(&line) {
-            return e.version;
-        }
-        let v = self.global.get(&line).copied().unwrap_or(0);
-        self.l2[c.index()].insert(
-            line,
-            ShadowEntry {
-                version: v,
-                dirty: false,
-            },
-        );
-        v
-    }
-
-    fn truth_of(&self, line: LineAddr) -> (u64, u64) {
-        self.truth.get(&line).copied().unwrap_or((0, 0))
-    }
-
-    fn pages_placed(&self) -> u64 {
-        self.homes.len() as u64
     }
 }
 
@@ -760,14 +621,6 @@ fn dispatch(
             sample,
             apply_sync,
         ),
-        ShadowKind::HashReference => check_inner(
-            &mut HashShadow::new(n),
-            workload,
-            protocol,
-            &cfg,
-            sample,
-            apply_sync,
-        ),
         ShadowKind::Bounded { sets, ways } => check_inner(
             &mut BoundedShadow::new(n, sets, ways),
             workload,
@@ -915,6 +768,140 @@ fn check_inner<S: ShadowMem>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiplet_mem::addr::PageAddr;
+    use std::collections::HashMap;
+
+    /// The original `HashMap`-backed shadow, kept verbatim as the reference
+    /// the flat shadow must match report for report.
+    #[derive(Debug, Default)]
+    struct HashShadow {
+        global: HashMap<LineAddr, u64>,
+        l2: Vec<HashMap<LineAddr, ShadowEntry>>,
+        truth: HashMap<LineAddr, (u64, u64)>,
+        homes: HashMap<PageAddr, ChipletId>,
+    }
+
+    impl HashShadow {
+        fn new(chiplets: usize) -> Self {
+            HashShadow {
+                l2: (0..chiplets).map(|_| HashMap::new()).collect(),
+                ..Default::default()
+            }
+        }
+
+        fn home_of(&mut self, line: LineAddr, toucher: ChipletId) -> ChipletId {
+            *self.homes.entry(line.page()).or_insert(toucher)
+        }
+    }
+
+    impl ShadowMem for HashShadow {
+        fn release(&mut self, c: ChipletId) {
+            // chiplet-check: allow(hash-iter) — frozen reference shadow; the flush is a
+            // commutative max-merge, so hash order cannot reach any observable output
+            for (line, e) in self.l2[c.index()].iter_mut() {
+                if e.dirty {
+                    let g = self.global.entry(*line).or_insert(0);
+                    *g = (*g).max(e.version);
+                    e.dirty = false;
+                }
+            }
+        }
+
+        fn acquire(&mut self, c: ChipletId) {
+            self.release(c);
+            self.l2[c.index()].clear();
+        }
+
+        fn write(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
+            let prev = match self.truth.get(&line) {
+                Some(&(v, p)) if v == kernel => p, // same-kernel rewrite
+                Some(&(v, _)) => v,
+                None => 0,
+            };
+            self.truth.insert(line, (kernel, prev));
+            let home = self.home_of(line, c);
+            if home == c {
+                self.l2[c.index()].insert(
+                    line,
+                    ShadowEntry {
+                        version: kernel,
+                        dirty: true,
+                    },
+                );
+            } else {
+                let g = self.global.entry(line).or_insert(0);
+                *g = (*g).max(kernel);
+            }
+        }
+
+        fn read(&mut self, c: ChipletId, line: LineAddr) -> u64 {
+            let home = self.home_of(line, c);
+            if home == c {
+                if let Some(e) = self.l2[c.index()].get(&line) {
+                    return e.version;
+                }
+                let v = self.global.get(&line).copied().unwrap_or(0);
+                self.l2[c.index()].insert(
+                    line,
+                    ShadowEntry {
+                        version: v,
+                        dirty: false,
+                    },
+                );
+                v
+            } else {
+                self.global.get(&line).copied().unwrap_or(0)
+            }
+        }
+
+        fn write_through(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
+            let prev = match self.truth.get(&line) {
+                Some(&(v, p)) if v == kernel => p,
+                Some(&(v, _)) => v,
+                None => 0,
+            };
+            self.truth.insert(line, (kernel, prev));
+            let g = self.global.entry(line).or_insert(0);
+            *g = (*g).max(kernel);
+            // chiplet-check: allow(hash-iter) — iterates the outer per-chiplet Vec, in index order
+            for (i, l2) in self.l2.iter_mut().enumerate() {
+                if i == c.index() {
+                    l2.insert(
+                        line,
+                        ShadowEntry {
+                            version: kernel,
+                            dirty: false,
+                        },
+                    );
+                } else {
+                    l2.remove(&line);
+                }
+            }
+        }
+
+        fn read_shared(&mut self, c: ChipletId, line: LineAddr) -> u64 {
+            if let Some(e) = self.l2[c.index()].get(&line) {
+                return e.version;
+            }
+            let v = self.global.get(&line).copied().unwrap_or(0);
+            self.l2[c.index()].insert(
+                line,
+                ShadowEntry {
+                    version: v,
+                    dirty: false,
+                },
+            );
+            v
+        }
+
+        fn truth_of(&self, line: LineAddr) -> (u64, u64) {
+            self.truth.get(&line).copied().unwrap_or((0, 0))
+        }
+
+        fn pages_placed(&self) -> u64 {
+            self.homes.len() as u64
+        }
+    }
 
     #[test]
     fn cpelide_is_coherent_on_streaming_reuse() {
@@ -984,26 +971,30 @@ mod tests {
     #[test]
     fn flat_and_hash_reference_shadows_agree_exactly() {
         // The flat rework must be behaviourally invisible: identical
-        // counters and identical violation lists, on both a coherent
-        // replay and a deliberately broken one.
-        let w = chiplet_workloads::by_name("hotspot3d").unwrap();
-        for (proto, sync) in [
-            (ProtocolKind::CpElide, true),
-            (ProtocolKind::CpElide, false),
+        // counters and identical violation lists, on coherent replays and
+        // a deliberately broken one. fw relaunches one kernel over the
+        // same pages dozens of times; sssp's gathers touch pages other
+        // chiplets placed, so their page counts test first-touch homing.
+        for (name, sample, sync) in [
+            ("hotspot3d", 13, true),
+            ("hotspot3d", 13, false),
+            ("fw", 29, true),
+            ("sssp", 29, true),
         ] {
-            let run = |kind| {
-                if sync {
-                    check_coherence_with(&w, proto, 4, 13, kind)
-                } else {
-                    check_never_sync_with(&w, 4, 13, kind)
-                }
+            let w = chiplet_workloads::by_name(name).unwrap();
+            let flat = if sync {
+                check_coherence(&w, ProtocolKind::CpElide, 4, sample)
+            } else {
+                check_never_sync(&w, 4, sample)
             };
-            let flat = run(ShadowKind::Flat);
-            let hash = run(ShadowKind::HashReference);
-            assert_eq!(flat.reads_checked, hash.reads_checked);
-            assert_eq!(flat.writes_recorded, hash.writes_recorded);
-            assert_eq!(flat.pages_placed, hash.pages_placed);
-            assert_eq!(flat.violations, hash.violations, "sync={sync}");
+            let cfg = SimConfig::table1(4, ProtocolKind::CpElide);
+            let mut shadow = HashShadow::new(cfg.num_chiplets);
+            let hash = check_inner(&mut shadow, &w, ProtocolKind::CpElide, &cfg, sample, sync);
+            assert!(flat.pages_placed > 0, "{name}: no pages placed");
+            assert_eq!(flat.reads_checked, hash.reads_checked, "{name}");
+            assert_eq!(flat.writes_recorded, hash.writes_recorded, "{name}");
+            assert_eq!(flat.pages_placed, hash.pages_placed, "{name}");
+            assert_eq!(flat.violations, hash.violations, "{name} sync={sync}");
         }
     }
 

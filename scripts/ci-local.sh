@@ -118,32 +118,23 @@ python3 perfbench/run.py --workload serve-warm --seed 1 --seconds 2 --trace 0 \
   > results/serve-warm.out
 tail -n 1 results/serve-warm.out | grep -q '"correct":true'
 
-echo "== Benchmark correctness gate on simulated rows (sweep-irregular) =="
+echo "== Benchmark correctness and speed floor on simulated rows (sweep-irregular) =="
 # A short cold sweep-irregular run of the repository benchmark: every
 # simulated row is compared byte for byte with committed
 # results/campaign.json; the result line (the last line of output) must
-# report "correct":true.
+# report "correct":true and ok_ratio 1, and its calibrated cells_per_s
+# must reach the floor perf_floor.py reads from perfbench/noise.json.
 python3 perfbench/run.py --workload sweep-irregular --seed 1 --seconds 1 --trace 0 \
   > results/sweep-irregular.out
-tail -n 1 results/sweep-irregular.out | grep -q '"correct":true'
+python3 scripts/perf_floor.py results/sweep-irregular.out sweep-irregular
+
+echo "== Benchmark correctness and speed floor on simulated rows (sweep-regular) =="
+# The same gate over one 81-cell pass of the regular cells.
+python3 perfbench/run.py --workload sweep-regular --seed 1 --seconds 1 --trace 0 \
+  > results/sweep-regular.out
+python3 scripts/perf_floor.py results/sweep-regular.out sweep-regular
 
 echo "== Bench runner (fixed iterations, JSON report) =="
 CHIPLET_BENCH_ITERS=3 CHIPLET_BENCH_WARMUP=1 cargo bench --workspace
-
-echo "== Hotpath bench smoke (validated BENCH_hotpath.json) =="
-# write_report schema-validates the document and resolves relative results
-# paths against the workspace root (no CPELIDE_RESULTS_DIR workaround);
-# the greps assert the speedup sections made it into the artifact.
-CPELIDE_SMOKE=1 CHIPLET_BENCH_ITERS=3 CHIPLET_BENCH_WARMUP=1 \
-  cargo bench -p cpelide-bench --bench hotpath
-grep -q '"oracle_replay_flat_vs_hashmap"' results/BENCH_hotpath.json
-grep -q '"placement_flat_vs_hashmap"' results/BENCH_hotpath.json
-grep -q '"cells_per_sec_event"' results/BENCH_hotpath.json
-
-echo "== Perf gate (BENCH_hotpath vs committed baseline) =="
-# Ratio-of-ratios regression gate against results/BENCH_baseline.json;
-# re-bless with CPELIDE_BLESS_BENCH=1 when a change legitimately moves
-# the gated speedups.
-cargo run --release -p cpelide-bench --bin report -- --perf-check
 
 echo "ci-local: all checks passed"

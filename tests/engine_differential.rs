@@ -1,9 +1,11 @@
 //! Differential gate for the event-driven engine core: every registered
-//! workload, under every protocol and a spread of chiplet counts, must
-//! produce **byte-identical** `RunMetrics` JSON whether the simulator runs
-//! on the event-driven set-block core or the frozen per-line
-//! reference core. The reference core defines the behavioural contract;
-//! any divergence is a bug in the rework, never a tolerable drift.
+//! workload, under Baseline, HMG and CPElide at a spread of chiplet
+//! counts and under Monolithic at 4, must produce **byte-identical**
+//! `RunMetrics` JSON whether the simulator runs on the event-driven
+//! set-block core (`run_with::<SetAssocCache>`, what `Simulator::run`
+//! uses) or the frozen per-line reference core (`run_with::<ScanCache>`).
+//! The reference core defines the behavioural contract; any divergence
+//! is a bug in the rework, never a tolerable drift.
 //!
 //! Debug builds prune the grid to the two cheapest-to-simulate workloads
 //! so the tier-1 `cargo test -q` pass stays fast; release runs (CI's
@@ -11,8 +13,7 @@
 
 use chiplet_coherence::ProtocolKind;
 use chiplet_mem::addr::LineAddr;
-use chiplet_mem::cache::{CacheGeometry, ScanCache, SetAssocCache, WritePolicy};
-use chiplet_sim::config::EngineCore;
+use chiplet_mem::cache::{CacheCore, CacheGeometry, ScanCache, SetAssocCache, WritePolicy};
 use chiplet_sim::{SimConfig, Simulator};
 use chiplet_workloads::Workload;
 
@@ -22,6 +23,15 @@ const PROTOCOLS: [ProtocolKind; 3] = [
     ProtocolKind::CpElide,
 ];
 const CHIPLET_COUNTS: [usize; 3] = [2, 4, 7];
+
+/// Every (protocol, chiplets) input: the chiplet protocols at each count,
+/// plus the single-die Monolithic GPU with 4 chiplets' worth of L2.
+fn configs() -> impl Iterator<Item = (ProtocolKind, usize)> {
+    PROTOCOLS
+        .into_iter()
+        .flat_map(|p| CHIPLET_COUNTS.into_iter().map(move |n| (p, n)))
+        .chain([(ProtocolKind::Monolithic, 4)])
+}
 
 /// Every registered workload: the paper suite plus the multi-stream
 /// variants. Debug builds keep only the two cheapest members (simulation
@@ -36,15 +46,15 @@ fn grid_workloads() -> Vec<Workload> {
     all
 }
 
-fn metrics_json(
+fn metrics_json<C: CacheCore>(
     workload: &Workload,
     protocol: ProtocolKind,
     chiplets: usize,
-    core: EngineCore,
 ) -> String {
-    let mut cfg = SimConfig::table1(chiplets, protocol);
-    cfg.engine_core = core;
-    Simulator::new(cfg).run(workload).to_json().render()
+    Simulator::new(SimConfig::table1(chiplets, protocol))
+        .run_with::<C>(workload)
+        .to_json()
+        .render()
 }
 
 #[test]
@@ -52,17 +62,15 @@ fn event_core_matches_reference_scan_on_the_full_grid() {
     let workloads = grid_workloads();
     assert!(!workloads.is_empty());
     for w in &workloads {
-        for &p in &PROTOCOLS {
-            for &n in &CHIPLET_COUNTS {
-                let event = metrics_json(w, p, n, EngineCore::EventDriven);
-                let scan = metrics_json(w, p, n, EngineCore::ReferenceScan);
-                assert_eq!(
-                    event,
-                    scan,
-                    "{}:{p}:{n}: event-driven core diverged from the reference scan",
-                    w.name()
-                );
-            }
+        for (p, n) in configs() {
+            let event = metrics_json::<SetAssocCache>(w, p, n);
+            let scan = metrics_json::<ScanCache>(w, p, n);
+            assert_eq!(
+                event,
+                scan,
+                "{}:{p}:{n}: event-driven core diverged from the reference scan",
+                w.name()
+            );
         }
     }
 }

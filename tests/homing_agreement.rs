@@ -15,7 +15,6 @@ use chiplet_gpu::kernel::KernelId;
 use chiplet_gpu::trace::TraceGenerator;
 use chiplet_mem::addr::{ChipletId, PageAddr};
 use chiplet_mem::page::PageTable;
-use chiplet_sim::oracle::{check_coherence_with, ShadowKind};
 use chiplet_sim::SimConfig;
 use std::collections::HashMap;
 
@@ -88,21 +87,5 @@ fn page_table_matches_hash_reference_on_recycled_row_traces() {
 fn page_table_matches_hash_reference_across_chiplet_counts() {
     for chiplets in [2usize, 7] {
         assert_homing_agrees("bfs", chiplets);
-    }
-}
-
-#[test]
-fn oracle_shadows_place_identical_page_counts() {
-    // The oracle's flat shadow homes through `PageTable`; the retained
-    // hash-reference shadow homes through its original private HashMap.
-    // Their reports must agree on how many pages got placed.
-    for name in ["fw", "sssp"] {
-        let w = cpelide_repro::workloads::by_name(name).unwrap();
-        let flat = check_coherence_with(&w, ProtocolKind::CpElide, 4, 29, ShadowKind::Flat);
-        let hash =
-            check_coherence_with(&w, ProtocolKind::CpElide, 4, 29, ShadowKind::HashReference);
-        assert!(flat.pages_placed > 0, "{name}: no pages placed");
-        assert_eq!(flat.pages_placed, hash.pages_placed, "{name}");
-        assert_eq!(flat.violations, hash.violations, "{name}");
     }
 }
