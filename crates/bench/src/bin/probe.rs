@@ -2,9 +2,10 @@
 //! rate, traffic split, sync costs and energy (total, plus one
 //! L1I/L1D/LDS/L2/L3/NOC/DRAM line — the Figure 9 component split) at a
 //! given chiplet count,
-//! plus the full per-run JSON export (sync counters, histograms,
-//! per-boundary event log) written to `results/probe.json` and a
-//! Prometheus exposition in `results/probe.prom`.
+//! plus the full per-run JSON export (sync counters, histograms, and the
+//! CPElide run's events, labelled by variant) written to
+//! `results/probe.json` and a Prometheus exposition in
+//! `results/probe.prom`.
 //!
 //! Usage: `cargo run --release -p cpelide-bench --bin probe -- [workload]
 //! [chiplets] [--trace out.json]` (default `square` at 4 chiplets). A
@@ -18,7 +19,8 @@
 use chiplet_coherence::ProtocolKind;
 use chiplet_harness::json::Json;
 use chiplet_sim::cell::{Cell, CHIPLET_RANGE};
-use chiplet_sim::Simulator;
+use chiplet_sim::event::timeline;
+use chiplet_sim::{SimEvent, Simulator};
 use cpelide_bench::{
     effective_suite, smoke, trace_path_from_env, write_report, write_text, write_trace,
 };
@@ -108,17 +110,19 @@ fn main() -> ExitCode {
         ProtocolKind::HmgWriteBack,
         ProtocolKind::Monolithic,
     ] {
-        let mut cfg = Cell {
-            protocol: p,
-            ..cell.clone()
-        }
-        .config();
-        // The deep-dive records the per-boundary event log for the CPElide
-        // run so the JSON report shows where each sync was paid; the
-        // timeline trace (when requested) covers the same run.
-        cfg.record_events = p == ProtocolKind::CpElide;
-        cfg.record_trace = trace_to.is_some() && p == ProtocolKind::CpElide;
-        let m = Simulator::new(cfg).run(w);
+        let sim = Simulator::new(
+            Cell {
+                protocol: p,
+                ..cell.clone()
+            }
+            .config(),
+        );
+        // The deep-dive keeps the CPElide run's events so the JSON report
+        // shows where each sync was paid; the timeline trace (when
+        // requested) renders the same events.
+        let cpelide = p == ProtocolKind::CpElide;
+        let mut events = Vec::new();
+        let m = sim.run_observed(w, &mut events);
         println!(
             "{:<11} {:>12.0} {:>12.0} {:>12.0} {:>7.1} {:>8.1} {:>10} {:>10} {:>10} {:>9} {:>8.1}",
             p.label(),
@@ -179,19 +183,24 @@ fn main() -> ExitCode {
             m.hist.boundary_stall_cycles.p99(),
             100.0 * m.link_util.utilization(m.cycles as u64),
         );
-        if m.trace.is_enabled() {
-            let path = trace_to
-                .as_ref()
-                .expect("trace recording implies a destination");
-            write_trace(&m.trace, path);
+        if let (Some(path), true) = (&trace_to, cpelide) {
+            let trace = timeline(&events, sim.config(), w);
+            write_trace(&trace, path);
             println!(
                 "            trace: {} events -> {} (open at ui.perfetto.dev)",
-                m.trace.len(),
+                trace.len(),
                 path.display()
             );
         }
         m.metrics_text_into(&mut prom);
-        runs.push(m.to_json());
+        let mut run = m.to_json();
+        if cpelide {
+            run.set(
+                "events",
+                events.iter().map(SimEvent::to_json).collect::<Vec<_>>(),
+            );
+        }
+        runs.push(run);
     }
 
     let report = Json::object()

@@ -1,17 +1,21 @@
 //! `probe` argument handling, driven through the built binary: a
 //! malformed or out-of-range chiplet count gets the usage line and exit
-//! code 2, an unknown workload exit code 1, never a panic.
+//! code 2, an unknown workload exit code 1, never a panic; a known
+//! workload writes a valid timeline and report.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+fn results_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("probe-args")
+}
+
 fn probe(args: &[&str]) -> Output {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("probe-args");
     Command::new(env!("CARGO_BIN_EXE_probe"))
         .args(args)
         .env_remove("CPELIDE_SMOKE")
         .env_remove("CPELIDE_TRACE")
-        .env("CPELIDE_RESULTS_DIR", &dir)
+        .env("CPELIDE_RESULTS_DIR", results_dir())
         .output()
         .expect("probe runs")
 }
@@ -52,7 +56,9 @@ fn probe_names_an_unknown_workload() {
 
 #[test]
 fn probe_runs_a_known_workload() {
-    let out = probe(&["btree", "2"]);
+    let trace = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("probe-args-trace.json");
+    let _ = std::fs::remove_file(&trace);
+    let out = probe(&["btree", "2", "--trace", &trace.to_string_lossy()]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -61,4 +67,21 @@ fn probe_runs_a_known_workload() {
     );
     assert!(stdout.starts_with("btree"), "{stdout}");
     assert!(stdout.contains("2 chiplets"), "{stdout}");
+    let json = std::fs::read_to_string(&trace).expect("--trace writes the timeline");
+    chiplet_harness::json::validate(&json).expect("the timeline is valid JSON");
+    assert!(json.contains("\"traceEvents\""), "{json}");
+    // The report carries the CPElide run's events, each one labelled.
+    let report =
+        std::fs::read_to_string(results_dir().join("probe.json")).expect("probe.json written");
+    let report = chiplet_harness::json::parse(&report).expect("probe.json is valid JSON");
+    let runs = report.get("runs").and_then(|r| r.as_arr()).expect("runs");
+    let cpe = runs
+        .iter()
+        .find(|r| r.get("protocol").and_then(|p| p.as_str()) == Some("CPElide"))
+        .expect("a CPElide run");
+    let events = cpe.get("events").and_then(|e| e.as_arr()).expect("events");
+    assert!(!events.is_empty());
+    assert!(events
+        .iter()
+        .all(|e| e.get("label").and_then(|l| l.as_str()).is_some()));
 }

@@ -49,7 +49,7 @@ fn studies() {
 }
 
 /// The deep-dive binary must export the full per-run sync counters and
-/// the per-boundary event log for the CPElide run.
+/// the CPElide run's labelled events.
 #[test]
 fn probe() {
     let text = smoke_run(env!("CARGO_BIN_EXE_probe"), "probe");
@@ -59,8 +59,8 @@ fn probe() {
         "\"releases_elided\"",
         "\"invalidated_lines\"",
         "\"remote_bytes\"",
-        "\"kernel_boundary\"",
-        "\"final_drain\"",
+        "\"events\"",
+        "\"label\"",
     ] {
         assert!(text.contains(key), "probe report lacks {key}");
     }

@@ -44,8 +44,8 @@
 //! ([`chiplet_gpu::kernel::SpecSpan`]).
 //!
 //! **Differential sanitizer** ([`differential`]): replays the workload
-//! through the real [`chiplet_sim::Simulator`] with the per-boundary
-//! event log enabled, re-classifies each boundary in lockstep with the
+//! through the real [`chiplet_sim::Simulator`], recording its typed
+//! [`SimEvent`]s, re-classifies each boundary in lockstep with the
 //! engine's *observed* per-chiplet acquire/release/bulk-sync operations,
 //! and asserts (a) soundness — no boundary the oracle marks `MustSync`
 //! was elided — and (b) completeness — `MayElide` boundaries that were
@@ -70,6 +70,7 @@ use chiplet_harness::json::Json;
 use chiplet_mem::addr::ChipletId;
 use chiplet_sim::config::SimConfig;
 use chiplet_sim::engine::{effective_binding, Simulator};
+use chiplet_sim::event::SimEvent;
 use chiplet_workloads::Workload;
 use std::sync::Arc;
 
@@ -532,13 +533,19 @@ pub struct DiffCell {
     pub headroom_sync_cycles: f64,
 }
 
-/// Replays `workload` x `protocol` x `n` through the real engine with
-/// the event log enabled and re-classifies every boundary in lockstep
+/// An abstract-state update for one engine sync op on a chiplet.
+type SyncUpdate = fn(&mut OracleState, usize);
+
+/// Replays `workload` x `protocol` x `n` through the real engine,
+/// recording its events, and re-classifies every boundary in lockstep
 /// with the observed per-chiplet sync operations.
 pub fn differential(workload: &Workload, protocol: ProtocolKind, n: usize) -> DiffCell {
-    let mut cfg = SimConfig::table1(n, protocol);
-    cfg.record_events = true;
-    let metrics = Simulator::new(cfg).run(workload);
+    let mut events = Vec::new();
+    Simulator::new(SimConfig::table1(n, protocol)).run_observed(workload, &mut events);
+    let boundaries = events
+        .iter()
+        .filter(|e| matches!(e, SimEvent::Boundary(_)))
+        .count();
 
     let rounds = build_rounds(workload, n);
     let array_names: Vec<String> = workload
@@ -548,16 +555,10 @@ pub fn differential(workload: &Workload, protocol: ProtocolKind, n: usize) -> Di
         .collect();
     let mut state = OracleState::new(array_names.len(), n);
 
-    let events = metrics.events.events();
-    let boundaries: Vec<_> = events
-        .iter()
-        .filter(|e| e.label == "kernel_boundary")
-        .collect();
-
     let mut cell = DiffCell {
         protocol,
         chiplets: n,
-        boundaries: boundaries.len() as u64,
+        boundaries: boundaries as u64,
         synced: 0,
         elided: 0,
         violations: Vec::new(),
@@ -567,27 +568,47 @@ pub fn differential(workload: &Workload, protocol: ProtocolKind, n: usize) -> Di
 
     // The mirror must reproduce the engine's round structure exactly;
     // any drift is itself a finding.
-    if rounds.len() != boundaries.len() {
+    if rounds.len() != boundaries {
         cell.violations.push(format!(
-            "round-mirror drift: oracle built {} rounds, engine logged {} boundaries",
+            "round-mirror drift: oracle built {} rounds, engine logged {boundaries} boundaries",
             rounds.len(),
-            boundaries.len()
         ));
         return cell;
     }
 
-    for (r, round) in rounds.iter().enumerate() {
-        let b = boundaries[r];
-        if b.field("kernels") != Some(round.kernels as f64) {
+    // One walk: a round's sync ops arrive before the `Boundary` that
+    // closes it; the final drain is end-of-program and joins no round.
+    let mut ops: Vec<(SyncUpdate, usize)> = Vec::new();
+    let mut r = 0;
+    for e in &events {
+        let b = match *e {
+            SimEvent::Acquire(op, _) => {
+                ops.push((OracleState::acquire, op.chiplet.index()));
+                continue;
+            }
+            SimEvent::Release(op, _) => {
+                ops.push((OracleState::release, op.chiplet.index()));
+                continue;
+            }
+            SimEvent::BulkSync(op, _) => {
+                ops.push((OracleState::bulk, op.chiplet.index()));
+                continue;
+            }
+            SimEvent::Boundary(b) => b,
+            SimEvent::FinalDrain(..)
+            | SimEvent::Elided { .. }
+            | SimEvent::Kernel(_)
+            | SimEvent::LinkBusy(_) => continue,
+        };
+        let round = &rounds[r];
+        if b.kernels as usize != round.kernels {
             cell.violations.push(format!(
                 "round-mirror drift at boundary {r}: oracle saw {} kernel(s), engine {}",
-                round.kernels,
-                b.field("kernels").unwrap_or(-1.0)
+                round.kernels, b.kernels
             ));
             return cell;
         }
-        let ops = b.field("acquires").unwrap_or(0.0) + b.field("releases").unwrap_or(0.0);
-        let engine_synced = ops > 0.0;
+        let engine_synced = !ops.is_empty();
         if engine_synced {
             cell.synced += 1;
         } else {
@@ -605,7 +626,7 @@ pub fn differential(workload: &Workload, protocol: ProtocolKind, n: usize) -> Di
             }
             Verdict::MayElide { .. } if engine_synced => {
                 cell.headroom_boundaries += 1;
-                cell.headroom_sync_cycles += b.field("sync_cycles").unwrap_or(0.0);
+                cell.headroom_sync_cycles += b.sync_cycles;
             }
             _ => {}
         }
@@ -618,24 +639,13 @@ pub fn differential(workload: &Workload, protocol: ProtocolKind, n: usize) -> Di
                 state.bulk(c);
             }
         } else {
-            let rf = r as f64;
-            for e in events {
-                if e.field("round") != Some(rf) {
-                    continue;
-                }
-                let Some(c) = e.field("chiplet") else {
-                    continue;
-                };
-                let c = c as usize;
-                match e.label.as_str() {
-                    "acquire" => state.acquire(c),
-                    "release" => state.release(c),
-                    "bulk_sync" => state.bulk(c),
-                    _ => {}
-                }
+            for &(apply, c) in &ops {
+                apply(&mut state, c);
             }
         }
+        ops.clear();
         state.apply_round(round);
+        r += 1;
     }
     cell
 }

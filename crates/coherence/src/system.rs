@@ -9,7 +9,6 @@
 //! (Figure 9) evaluations.
 
 use crate::config::{MemConfig, ProtocolKind};
-use chiplet_harness::obs::EventLog;
 use chiplet_mem::addr::{ChipletId, LineAddr};
 use chiplet_mem::cache::{AccessOutcome, CacheCore, CacheGeometry, CacheStats, WritePolicy};
 use chiplet_mem::directory::{CoarseDirectory, DirectoryStats};
@@ -103,9 +102,6 @@ pub struct MemorySystem<C: CacheCore = SetAssocCache> {
     dirty_owners: Option<LineStateTable>,
     traffic: FlitCounter,
     dir_remote_invalidations: u64,
-    /// Per-operation synchronization event log (disabled by default so the
-    /// hot paths stay allocation-free; see [`MemorySystem::enable_event_log`]).
-    events: EventLog,
 }
 
 impl MemorySystem {
@@ -171,20 +167,7 @@ impl<C: CacheCore> MemorySystem<C> {
             dirty_owners: (kind == ProtocolKind::HmgWriteBack).then(LineStateTable::new),
             traffic: FlitCounter::new(),
             dir_remote_invalidations: 0,
-            events: EventLog::disabled(),
         }
-    }
-
-    /// Turns on per-operation event recording (releases, acquires, bulk
-    /// syncs). Off by default to keep the access paths cheap.
-    pub fn enable_event_log(&mut self) {
-        self.events = EventLog::new();
-    }
-
-    /// The recorded synchronization events (empty unless
-    /// [`MemorySystem::enable_event_log`] was called).
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// The protocol this system simulates.
@@ -613,14 +596,6 @@ impl<C: CacheCore> MemorySystem<C> {
                 cost.local_lines += 1;
             }
         }
-        self.events.record(
-            "l2_release",
-            vec![
-                ("chiplet", c.index() as f64),
-                ("local_lines", cost.local_lines as f64),
-                ("remote_lines", cost.remote_lines as f64),
-            ],
-        );
         cost
     }
 
@@ -633,13 +608,6 @@ impl<C: CacheCore> MemorySystem<C> {
             t.clear_chiplet(c);
         }
         debug_assert_eq!(inv.dirty_dropped, 0, "flush must precede invalidate");
-        self.events.record(
-            "l2_acquire",
-            vec![
-                ("chiplet", c.index() as f64),
-                ("invalidated_lines", inv.lines_invalidated as f64),
-            ],
-        );
         AcquireCost {
             flush,
             invalidated_lines: inv.lines_invalidated,
@@ -890,23 +858,6 @@ mod tests {
         assert_eq!(r, CostClass::Mem { remote: false });
         assert!(m.hbm().total_writes() > 0, "L3 evictions reach HBM");
         assert!(m.hbm().total_reads() > 0);
-    }
-
-    #[test]
-    fn event_log_records_sync_ops_when_enabled() {
-        let mut m = MemorySystem::new(ProtocolKind::Baseline, small_config(2));
-        m.write(c(0), l(0));
-        m.release(c(0));
-        assert!(m.events().is_empty(), "logging is off by default");
-        m.enable_event_log();
-        m.write(c(0), l(1));
-        m.release(c(0));
-        m.acquire(c(1));
-        // release + acquire's embedded release + acquire itself.
-        assert_eq!(m.events().len(), 3);
-        assert_eq!(m.events().events()[0].label, "l2_release");
-        assert_eq!(m.events().events()[0].field("local_lines"), Some(1.0));
-        assert_eq!(m.events().events()[2].label, "l2_acquire");
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! * [`mod@bench`] replaces `criterion` — a warmup+iterations wall-clock
 //!   runner reporting median/p95 and writing JSON into `results/`.
 //!
-//! [`obs`] adds the structured instrumentation layer (counters, event
-//! logs, spans) the simulator threads through kernel boundaries, and
 //! [`json`] is the tiny writer/validator the other modules share.
 //!
 //! [`fleet`] is the host-side fan-out layer: a deterministic
@@ -21,18 +19,19 @@
 //! the campaign runner's incremental sweeps. Only this crate spawns
 //! threads — simulation-path crates stay thread-free by lint.
 //!
-//! The deeper tracing subsystem — the Perfetto timeline [`trace::Tracer`],
+//! The tracing subsystem — the Perfetto timeline [`trace::Tracer`],
 //! the CCT [`trace::TransitionAuditor`], and log2 [`trace::Histogram`]
 //! metrics — lives in the dependency-free `chiplet-obs` crate and is
 //! re-exported here as [`trace`] so downstream crates reach the whole
-//! toolkit through this facade.
+//! toolkit through this facade. What the simulator records arrives as
+//! typed events through `chiplet_sim::event`, which feeds these
+//! primitives.
 
 #![warn(missing_docs)]
 
 pub mod bench;
 pub mod fleet;
 pub mod json;
-pub mod obs;
 pub mod prop;
 pub mod rng;
 
@@ -44,7 +43,6 @@ pub use fleet::{
     FleetTelemetry, JobFailure, JobRecord, WorkerTelemetry,
 };
 pub use json::Json;
-pub use obs::{Counter, Event, EventLog, Span};
 pub use prop::{check, PropConfig, PropResult};
 pub use rng::{mix64, SplitMix64, Xoshiro256};
 pub use trace::{Histogram, Tracer, TransitionAuditor};

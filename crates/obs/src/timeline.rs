@@ -92,49 +92,33 @@ impl ClockDomain {
     }
 }
 
-/// A timeline tracer. Disabled tracers drop events at zero cost, so the
-/// simulator can call record methods unconditionally.
+/// A timeline tracer: named tracks plus events in record order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
     process_names: Vec<(u32, String)>,
     thread_names: Vec<(u32, u32, String)>,
-    enabled: bool,
     clock: ClockDomain,
 }
 
 impl Tracer {
-    /// Creates an enabled tracer on the simulated clock.
+    /// Creates a tracer on the simulated clock.
     pub fn new() -> Self {
-        Tracer {
-            enabled: true,
-            ..Tracer::default()
-        }
+        Tracer::default()
     }
 
-    /// Creates an enabled tracer whose timestamps are host wall-clock
-    /// microseconds (the campaign's fleet trace).
+    /// Creates a tracer whose timestamps are host wall-clock microseconds
+    /// (the campaign's fleet trace).
     pub fn new_wall() -> Self {
         Tracer {
-            enabled: true,
             clock: ClockDomain::WallMicros,
             ..Tracer::default()
         }
     }
 
-    /// Creates a disabled tracer; all record calls are no-ops.
-    pub fn disabled() -> Self {
-        Tracer::default()
-    }
-
     /// Which clock this tracer's timestamps are measured on.
     pub fn clock(&self) -> ClockDomain {
         self.clock
-    }
-
-    /// Whether this tracer records events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of recorded events (excluding metadata).
@@ -154,22 +138,16 @@ impl Tracer {
 
     /// Names a process track (e.g. `name_process(0, "chiplet 0")`).
     pub fn name_process(&mut self, pid: u32, name: impl Into<String>) {
-        if self.enabled {
-            self.process_names.push((pid, name.into()));
-        }
+        self.process_names.push((pid, name.into()));
     }
 
     /// Names a thread track within a process.
     pub fn name_thread(&mut self, pid: u32, tid: u32, name: impl Into<String>) {
-        if self.enabled {
-            self.thread_names.push((pid, tid, name.into()));
-        }
+        self.thread_names.push((pid, tid, name.into()));
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        if self.enabled {
-            self.events.push(ev);
-        }
+        self.events.push(ev);
     }
 
     /// Records a `B` span-begin event.
@@ -403,13 +381,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::disabled();
-        t.begin("k", "kernel", 0.0, 0, 0);
-        t.end("k", "kernel", 1.0, 0, 0);
-        t.name_process(0, "chiplet 0");
+    fn empty_tracer_exports_an_empty_trace() {
+        let t = Tracer::new();
         assert!(t.is_empty());
-        assert!(!t.is_enabled());
         assert_eq!(
             t.to_chrome_json(),
             "{\"traceEvents\":[],\"otherData\":{\"clockDomain\":\"sim\"}}"
@@ -424,7 +398,6 @@ mod tests {
 
         let mut wall = Tracer::new_wall();
         assert_eq!(wall.clock(), ClockDomain::WallMicros);
-        assert!(wall.is_enabled());
         wall.complete("cell", "cell", 0.0, 5.0, 0, 1, vec![]);
         let json = wall.to_chrome_json();
         assert!(json.contains("\"clockDomain\":\"wall\""));

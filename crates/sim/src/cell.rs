@@ -160,10 +160,9 @@ impl Cell {
     /// grid cell.
     ///
     /// Every struct is destructured exhaustively, so a new field fails to
-    /// compile here until it is keyed or written as `_`. Left out:
-    /// - each kernel's `SpecSpan`: where it was written, not what it does;
-    /// - `record_events`, `record_trace` and `audit_cct`: a `Cell` cannot
-    ///   set them, so they are constants for every row.
+    /// compile here until it is keyed or written as `_`. Left out: each
+    /// kernel's `SpecSpan`, which says where it was written, not what it
+    /// does.
     pub fn key(&self, fp: Fingerprint) -> Fingerprint {
         key_workload(key_config(fp, &self.config()), &self.workload)
     }
@@ -176,7 +175,6 @@ fn key_config(fp: Fingerprint, cfg: &SimConfig) -> Fingerprint {
     let SimConfig {
         num_chiplets, protocol, mem, latency, sync, link, energy, seed, cus_per_chiplet,
         clock_mhz, compute_scale, sync_replication, table_capacity, driver_managed,
-        record_events: _, record_trace: _, audit_cct: _,
     } = cfg;
     let MemConfig {
         num_chiplets: mem_chiplets, l2_bytes, l2_ways, l3_bytes, l3_ways, dir_entries, dir_ways,

@@ -139,8 +139,8 @@ impl SyncCostModel {
 }
 
 /// Full simulation configuration: what is simulated, not how. The cache
-/// core the engine runs on is a type parameter of
-/// [`crate::engine::Simulator::run_with`], not a setting.
+/// core the engine runs on and the observer of its events are type
+/// parameters of [`crate::engine::Simulator::run_with`], not settings.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Number of chiplets (Table I evaluates 2, 4, 6 and 7).
@@ -181,21 +181,6 @@ pub struct SimConfig {
     /// decide — latency the paper cites as the reason the CP is the right
     /// place (the paper's citations \[28\], \[79\], \[140\]).
     pub driver_managed: bool,
-    /// Record a per-kernel-boundary event log (plus the memory system's
-    /// per-operation log) into [`crate::metrics::RunMetrics::events`]. Off
-    /// by default: sweeps over the 24-app suite don't need event streams.
-    pub record_events: bool,
-    /// Record a sim-cycle-stamped timeline (kernel spans, sync operations,
-    /// NoC drain windows) into [`crate::metrics::RunMetrics::trace`] for
-    /// Chrome/Perfetto export. Off by default for the same reason as
-    /// `record_events`.
-    pub record_trace: bool,
-    /// Validate every Chiplet Coherence Table state transition against the
-    /// Figure 6 relation (CPElide runs only) and report the audit summary
-    /// in [`crate::metrics::RunMetrics::audit`]. On by default: the check
-    /// is a few integer ops per transition and doubles as a correctness
-    /// net for coherence changes.
-    pub audit_cct: bool,
 }
 
 impl SimConfig {
@@ -227,9 +212,6 @@ impl SimConfig {
             sync_replication: 1,
             table_capacity: cpelide::TABLE_CAPACITY,
             driver_managed: false,
-            record_events: false,
-            record_trace: false,
-            audit_cct: true,
         }
     }
 

@@ -22,6 +22,7 @@
 pub mod cell;
 pub mod config;
 pub mod engine;
+pub mod event;
 pub mod metrics;
 pub mod oracle;
 pub mod phase;
@@ -29,5 +30,6 @@ pub mod phase;
 pub use cell::Cell;
 pub use config::{LatencyModel, SimConfig, SyncCostModel};
 pub use engine::Simulator;
+pub use event::{Observer, SimEvent};
 pub use metrics::RunMetrics;
 pub use phase::{PhaseProfile, PhaseStat, SimPhase};

@@ -5,11 +5,10 @@ use crate::phase::PhaseProfile;
 use chiplet_coherence::ProtocolKind;
 use chiplet_energy::{EnergyBreakdown, EnergyCounts};
 use chiplet_harness::json::Json;
-use chiplet_harness::obs::EventLog;
 use chiplet_mem::cache::CacheStats;
 use chiplet_noc::link::LinkUtilization;
 use chiplet_noc::traffic::FlitCounter;
-use chiplet_obs::{Histogram, PromText, Tracer, TransitionAuditor};
+use chiplet_obs::{Histogram, PromText, TransitionAuditor};
 use cpelide::table::TableStats;
 use std::fmt;
 
@@ -193,19 +192,13 @@ pub struct RunMetrics {
     pub flushed_lines: u64,
     /// Elided-vs-performed synchronization accounting.
     pub sync: SyncCounters,
-    /// Per-kernel-boundary event log (empty unless the run was configured
-    /// with `record_events`).
-    pub events: EventLog,
     /// Log2-bucketed distributions (kernel duration, boundary stalls,
     /// flushed/invalidated lines, link occupancy).
     pub hist: RunHistograms,
     /// Inter-chiplet link occupancy accumulated over the run.
     pub link_util: LinkUtilization,
-    /// CCT transition audit (CPElide runs with `audit_cct` only).
+    /// CCT transition audit (CPElide runs only).
     pub audit: Option<TransitionAuditor>,
-    /// Sim-cycle-stamped timeline for Chrome/Perfetto export (disabled and
-    /// empty unless the run was configured with `record_trace`).
-    pub trace: Tracer,
     /// Where the run's simulated cycles went, by engine pipeline phase.
     /// Deliberately NOT part of [`Self::to_json`]: the golden snapshots
     /// pin that format. Exposed via [`Self::metrics_text`] /
@@ -242,8 +235,8 @@ impl RunMetrics {
         self.traffic.total() as f64 / baseline.traffic.total() as f64
     }
 
-    /// The run as a JSON object (counters, traffic, energy, table stats,
-    /// and the event log when recorded).
+    /// The run as a JSON object (counters, traffic, energy, histograms,
+    /// audit and table stats).
     pub fn to_json(&self) -> Json {
         let mut o = Json::object()
             .with("workload", self.workload.as_str())
@@ -301,16 +294,7 @@ impl RunMetrics {
                     .with("evictions", t.evictions),
             );
         }
-        if !self.events.is_empty() {
-            o.set("events", self.events.to_json());
-        }
         o
-    }
-
-    /// The boundary event log as CSV (header only when nothing was
-    /// recorded).
-    pub fn events_csv(&self) -> String {
-        self.events.to_csv()
     }
 }
 
@@ -711,11 +695,9 @@ mod tests {
             sync_ops: 0,
             flushed_lines: 0,
             sync: SyncCounters::default(),
-            events: EventLog::disabled(),
             hist: RunHistograms::new(),
             link_util: LinkUtilization::new(),
             audit: None,
-            trace: Tracer::disabled(),
             phases: PhaseProfile::default(),
         }
     }
@@ -772,20 +754,11 @@ mod tests {
         let mut m = metrics("square", 123.0);
         m.sync.acquires_elided = 7;
         m.sync.remote_bytes = 160;
-        let mut events = EventLog::new();
-        events.record("kernel_boundary", vec![("acquires", 1.0)]);
-        m.events = events;
         let text = m.to_json().render();
         chiplet_harness::json::validate(&text).expect("run JSON validates");
-        for key in [
-            "acquires_elided",
-            "remote_bytes",
-            "kernel_boundary",
-            "hit_rate",
-        ] {
+        for key in ["acquires_elided", "remote_bytes", "hit_rate"] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
-        assert!(m.events_csv().starts_with("seq,label"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Differential gate for the event-driven engine core: every registered
 //! workload, under Baseline, HMG and CPElide at a spread of chiplet
 //! counts and under Monolithic at 4, must produce **byte-identical**
-//! `RunMetrics` JSON whether the simulator runs on the event-driven
-//! set-block core (`run_with::<SetAssocCache>`, what `Simulator::run`
-//! uses) or the frozen per-line reference core (`run_with::<ScanCache>`).
+//! `RunMetrics` JSON and the same event stream whether the simulator runs
+//! on the event-driven set-block core (`run_with::<SetAssocCache, _>`,
+//! what `Simulator::run` uses) or the frozen per-line reference core
+//! (`run_with::<ScanCache, _>`).
 //! The reference core defines the behavioural contract; any divergence
 //! is a bug in the rework, never a tolerable drift.
 //!
@@ -14,7 +15,7 @@
 use chiplet_coherence::ProtocolKind;
 use chiplet_mem::addr::LineAddr;
 use chiplet_mem::cache::{CacheCore, CacheGeometry, ScanCache, SetAssocCache, WritePolicy};
-use chiplet_sim::{SimConfig, Simulator};
+use chiplet_sim::{SimConfig, SimEvent, Simulator};
 use chiplet_workloads::Workload;
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -46,15 +47,16 @@ fn grid_workloads() -> Vec<Workload> {
     all
 }
 
-fn metrics_json<C: CacheCore>(
+/// The run's metrics JSON and its recorded events.
+fn observed_run<C: CacheCore>(
     workload: &Workload,
     protocol: ProtocolKind,
     chiplets: usize,
-) -> String {
-    Simulator::new(SimConfig::table1(chiplets, protocol))
-        .run_with::<C>(workload)
-        .to_json()
-        .render()
+) -> (String, Vec<SimEvent>) {
+    let mut events = Vec::new();
+    let m = Simulator::new(SimConfig::table1(chiplets, protocol))
+        .run_with::<C, _>(workload, &mut events);
+    (m.to_json().render(), events)
 }
 
 #[test]
@@ -63,12 +65,17 @@ fn event_core_matches_reference_scan_on_the_full_grid() {
     assert!(!workloads.is_empty());
     for w in &workloads {
         for (p, n) in configs() {
-            let event = metrics_json::<SetAssocCache>(w, p, n);
-            let scan = metrics_json::<ScanCache>(w, p, n);
+            let (event, event_log) = observed_run::<SetAssocCache>(w, p, n);
+            let (scan, scan_log) = observed_run::<ScanCache>(w, p, n);
             assert_eq!(
                 event,
                 scan,
                 "{}:{p}:{n}: event-driven core diverged from the reference scan",
+                w.name()
+            );
+            assert!(
+                event_log == scan_log,
+                "{}:{p}:{n}: the cores emitted different events",
                 w.name()
             );
         }
