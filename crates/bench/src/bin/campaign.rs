@@ -9,9 +9,9 @@
 //! Usage: `cargo run --release -p cpelide-bench --bin campaign [-- --progress]`
 //!
 //! Flags:
-//! - `--progress`  print a done/total ticker to stderr after every cell
-//!   (also `CPELIDE_PROGRESS=1`). stdout and every artifact stay
-//!   byte-identical with the ticker on or off.
+//! - `--progress`  print a done/total ticker to stderr after every cell.
+//!   stdout and every artifact stay byte-identical with the ticker on or
+//!   off.
 //!
 //! Environment:
 //! - `CPELIDE_JOBS=<n>`   worker threads (default: available parallelism;
@@ -31,8 +31,7 @@ use cpelide_bench::{results_dir, write_report, write_text, write_trace};
 
 fn main() {
     let start = std::time::Instant::now();
-    let progress = std::env::args().skip(1).any(|a| a == "--progress")
-        || std::env::var("CPELIDE_PROGRESS").is_ok_and(|v| v == "1");
+    let progress = std::env::args().skip(1).any(|a| a == "--progress");
     let specs = campaign::cells();
     let workers = fleet::workers();
     let cache = campaign::cache_from_env();

@@ -12,8 +12,8 @@
 //! malformed argument or a chiplet count outside 1..=16 prints the usage
 //! line and exits 2; an unknown workload exits 1.
 //!
-//! `--trace <path>` (or `CPELIDE_TRACE=<path>`) additionally exports the
-//! CPElide run's timeline as Chrome/Perfetto trace-event JSON, loadable at
+//! `--trace <path>` additionally exports the CPElide run's timeline as
+//! Chrome/Perfetto trace-event JSON, loadable at
 //! <https://ui.perfetto.dev>.
 
 use chiplet_coherence::ProtocolKind;
@@ -21,9 +21,7 @@ use chiplet_harness::json::Json;
 use chiplet_sim::cell::{Cell, CHIPLET_RANGE};
 use chiplet_sim::event::timeline;
 use chiplet_sim::{SimEvent, Simulator};
-use cpelide_bench::{
-    effective_suite, smoke, trace_path_from_env, write_report, write_text, write_trace,
-};
+use cpelide_bench::{effective_suite, smoke, write_report, write_text, write_trace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -52,7 +50,6 @@ fn main() -> ExitCode {
             positional.push(a);
         }
     }
-    let trace_to = trace_to.or_else(trace_path_from_env);
     let name = positional.first().cloned().unwrap_or_else(|| {
         if smoke() {
             effective_suite()[0].name().to_owned()

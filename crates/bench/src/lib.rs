@@ -1,5 +1,4 @@
-//! Shared reporting helpers for the artifact binaries and the
-//! wall-clock benches.
+//! Shared reporting helpers for the artifact binaries.
 //!
 //! The evaluation sweep runs in one of two modes:
 //!
@@ -35,9 +34,9 @@
 //! - `CPELIDE_CACHE=0` disables the campaign's `results/cache/` result
 //!   cache.
 //!
-//! The `probe` binary additionally honours `CPELIDE_TRACE=<path>` (or the
-//! `--trace <path>` flag) to export a Chrome/Perfetto timeline of its
-//! CPElide run, loadable at <https://ui.perfetto.dev>.
+//! The `probe` binary additionally takes `--trace <path>` to export a
+//! Chrome/Perfetto timeline of its CPElide run, loadable at
+//! <https://ui.perfetto.dev>.
 
 // chiplet-check: allow-file(no-panic) — artifact writers abort by contract:
 // a malformed or unwritable report must kill the artifact run loudly rather
@@ -103,10 +102,10 @@ pub fn workspace_root() -> PathBuf {
 /// Where JSON reports land: `CPELIDE_RESULTS_DIR`, default `results/`.
 ///
 /// Relative paths (including the default) are resolved against the
-/// *workspace root*, not the process cwd: `cargo bench` and `cargo test`
-/// run their binaries with the package directory as cwd, and a cwd-relative
-/// default would scatter stray `crates/*/results/` directories. Absolute
-/// paths are honoured verbatim.
+/// *workspace root*, not the process cwd: `cargo test` runs its binaries
+/// with the package directory as cwd, and a cwd-relative default would
+/// scatter stray `crates/*/results/` directories. Absolute paths are
+/// honoured verbatim.
 pub fn results_dir() -> PathBuf {
     let raw = std::env::var_os("CPELIDE_RESULTS_DIR")
         .map(PathBuf::from)
@@ -123,19 +122,12 @@ pub fn results_dir() -> PathBuf {
 /// output through here, so a malformed document can never land on disk.
 pub fn write_report(artifact: &str, report: &Json) -> PathBuf {
     let rendered = report.render();
-    json::validate(&rendered).expect("report must render as well-formed JSON");
+    json::parse(&rendered).expect("report must render as well-formed JSON");
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(format!("{artifact}.json"));
     std::fs::write(&path, rendered).expect("write report");
     path
-}
-
-/// The trace destination requested via `CPELIDE_TRACE`, if any.
-pub fn trace_path_from_env() -> Option<PathBuf> {
-    std::env::var_os("CPELIDE_TRACE")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
 }
 
 /// Validates and writes a Chrome/Perfetto trace to `path`: spans must
@@ -144,7 +136,7 @@ pub fn trace_path_from_env() -> Option<PathBuf> {
 pub fn write_trace(tracer: &chiplet_harness::trace::Tracer, path: &std::path::Path) {
     tracer.balanced().expect("trace spans must pair up");
     let rendered = tracer.to_chrome_json();
-    json::validate(&rendered).expect("trace must render as well-formed JSON");
+    json::parse(&rendered).expect("trace must render as well-formed JSON");
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("create trace dir");
@@ -180,7 +172,7 @@ mod tests {
 
     #[test]
     fn default_results_dir_is_workspace_rooted() {
-        // `cargo bench`/`cargo test` run binaries with the package dir as
+        // `cargo test` runs binaries with the package dir as
         // cwd; the default must still land in the workspace's results/.
         if std::env::var_os("CPELIDE_RESULTS_DIR").is_some() {
             return; // honour an explicit override in the environment

@@ -61,8 +61,6 @@ impl Daemon {
             "CPELIDE_SERVE_TIMEOUT_MS",
             "CPELIDE_CACHE",
             "CPELIDE_FAIL_CELL",
-            "CPELIDE_TRACE",
-            "CPELIDE_PROGRESS",
         ] {
             cmd.env_remove(var);
         }

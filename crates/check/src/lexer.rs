@@ -63,17 +63,6 @@ impl Lexed {
         }
     }
 
-    /// True if token `i` is the punctuation `p`.
-    pub fn punct(&self, i: usize) -> bool {
-        matches!(
-            self.tokens.get(i),
-            Some(Token {
-                tok: Tok::Punct(_),
-                ..
-            })
-        )
-    }
-
     /// True if token `i` is exactly the punctuation `p`.
     pub fn is_punct(&self, i: usize, p: &str) -> bool {
         matches!(self.tokens.get(i), Some(Token { tok: Tok::Punct(q), .. }) if *q == p)

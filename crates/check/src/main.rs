@@ -108,7 +108,7 @@ fn main() -> ExitCode {
         };
         if json {
             let text = walk::lint_report_json(&report).render();
-            if let Err(e) = chiplet_harness::json::validate(&text) {
+            if let Err(e) = chiplet_harness::json::parse(&text) {
                 eprintln!("chiplet-check: internal error: report JSON invalid: {e}");
                 return ExitCode::from(2);
             }
@@ -158,7 +158,7 @@ fn main() -> ExitCode {
             failed |= c.violation_count != 0;
         }
         let text = census.render();
-        if let Err(e) = chiplet_harness::json::validate(&text) {
+        if let Err(e) = chiplet_harness::json::parse(&text) {
             eprintln!("chiplet-check: internal error: census JSON invalid: {e}");
             return ExitCode::from(2);
         }
@@ -237,7 +237,7 @@ fn main() -> ExitCode {
         }
         failed |= report.violation_count() != 0;
         let text = report.to_json().render();
-        if let Err(e) = chiplet_harness::json::validate(&text) {
+        if let Err(e) = chiplet_harness::json::parse(&text) {
             eprintln!("chiplet-check: internal error: oracle JSON invalid: {e}");
             return ExitCode::from(2);
         }

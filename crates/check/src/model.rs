@@ -745,7 +745,7 @@ mod tests {
             .explore(&AlphabetSpec::race_free(2, 2))
             .census;
         let text = census_json(&[c]).render();
-        chiplet_harness::json::validate(&text).unwrap();
+        chiplet_harness::json::parse(&text).unwrap();
     }
 
     #[test]

@@ -66,6 +66,7 @@ use chiplet_gpu::dispatch::{DispatchPlan, StaticPartitionScheduler};
 use chiplet_gpu::kernel::{KernelSpec, TouchKind};
 use chiplet_gpu::stream::SoftwareQueue;
 use chiplet_gpu::trace::line_footprint;
+use chiplet_harness::fleet;
 use chiplet_harness::json::Json;
 use chiplet_mem::addr::ChipletId;
 use chiplet_sim::config::SimConfig;
@@ -753,27 +754,41 @@ impl OracleReport {
 }
 
 /// Runs the full oracle: static census plus differential sanitizer over
-/// every registered workload x [`PROTOCOLS`] x [`CHIPLET_COUNTS`].
+/// every registered workload x [`PROTOCOLS`] x [`CHIPLET_COUNTS`]. The
+/// differential cells fan out over the fleet's workers; the ordered
+/// commit keeps the report identical at every worker count.
 pub fn run() -> OracleReport {
-    let mut workloads = Vec::new();
-    for name in chiplet_workloads::known_names() {
-        // chiplet-check: allow(no-panic) — known_names() only yields registered workloads
-        let w = chiplet_workloads::lookup(&name).expect("registered workload");
-        let mut report = WorkloadReport {
+    let loaded: Vec<(String, Workload)> = chiplet_workloads::known_names()
+        .into_iter()
+        .map(|name| {
+            // chiplet-check: allow(no-panic) — known_names() only yields registered workloads
+            let w = chiplet_workloads::lookup(&name).expect("registered workload");
+            (name, w)
+        })
+        .collect();
+    let cells: Vec<(&Workload, ProtocolKind, usize)> = loaded
+        .iter()
+        .flat_map(|(_, w)| {
+            PROTOCOLS
+                .iter()
+                .flat_map(move |&p| CHIPLET_COUNTS.iter().map(move |&n| (w, p, n)))
+        })
+        .collect();
+    let mut diffs =
+        fleet::parallel_map_ok(&cells, fleet::workers(), |&(w, p, n)| differential(w, p, n))
+            .into_iter();
+    let per_workload = PROTOCOLS.len() * CHIPLET_COUNTS.len();
+    let workloads = loaded
+        .iter()
+        .map(|(name, w)| WorkloadReport {
             name: name.clone(),
             kernels: w.kernel_count() as u64,
-            static_cells: Vec::new(),
-            diff_cells: Vec::new(),
-        };
-        for &n in &CHIPLET_COUNTS {
-            report.static_cells.push(analyze_static(&w, n));
-        }
-        for &p in &PROTOCOLS {
-            for &n in &CHIPLET_COUNTS {
-                report.diff_cells.push(differential(&w, p, n));
-            }
-        }
-        workloads.push(report);
-    }
+            static_cells: CHIPLET_COUNTS
+                .iter()
+                .map(|&n| analyze_static(w, n))
+                .collect(),
+            diff_cells: diffs.by_ref().take(per_workload).collect(),
+        })
+        .collect();
     OracleReport { workloads }
 }

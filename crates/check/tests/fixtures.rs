@@ -100,5 +100,5 @@ fn cli_exit_codes_distinguish_clean_from_dirty() {
         String::from_utf8_lossy(&clean.stdout)
     );
     let text = String::from_utf8_lossy(&clean.stdout);
-    chiplet_harness::json::validate(text.trim()).expect("--json output must be valid JSON");
+    chiplet_harness::json::parse(text.trim()).expect("--json output must be valid JSON");
 }

@@ -185,11 +185,6 @@ impl<C: CacheCore> MemorySystem<C> {
         self.traffic
     }
 
-    /// Event counters of one chiplet's L2.
-    pub fn l2_stats(&self, c: ChipletId) -> CacheStats {
-        self.l2[c.index()].stats()
-    }
-
     /// Aggregate L2 event counters across chiplets.
     pub fn l2_stats_total(&self) -> CacheStats {
         let mut total = CacheStats::default();

@@ -151,17 +151,6 @@ impl SyncActions {
     pub fn is_empty(&self) -> bool {
         self.acquires.is_empty() && self.releases.is_empty()
     }
-
-    /// Chiplets involved in any operation (deduplicated).
-    pub fn touched_chiplets(&self) -> Vec<ChipletId> {
-        let mut v = self.acquires.clone();
-        for &c in &self.releases {
-            if !v.contains(&c) {
-                v.push(c);
-            }
-        }
-        v
-    }
 }
 
 /// Cumulative table statistics for the evaluation.

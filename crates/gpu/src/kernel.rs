@@ -103,7 +103,7 @@ pub enum AccessPattern {
 impl AccessPattern {
     /// Validates pattern parameters, panicking with a clear message on
     /// nonsensical fractions. Called by [`KernelBuilder::array`].
-    fn validate(&self) {
+    fn assert_valid(&self) {
         match *self {
             AccessPattern::Slice { start, end } => {
                 assert!(
@@ -335,7 +335,7 @@ impl KernelBuilder {
 
     /// Adds an array access; the mode label is implied by the touch kind.
     pub fn array(mut self, array: ArrayId, touch: TouchKind, pattern: AccessPattern) -> Self {
-        pattern.validate();
+        pattern.assert_valid();
         self.arrays.push(ArrayAccess {
             array,
             mode: touch.implied_mode(),
@@ -354,7 +354,7 @@ impl KernelBuilder {
         pattern: AccessPattern,
         sweeps: u32,
     ) -> Self {
-        pattern.validate();
+        pattern.assert_valid();
         assert!(sweeps >= 1, "sweeps must be at least 1");
         self.arrays.push(ArrayAccess {
             array,

@@ -1,21 +1,20 @@
-//! A tiny JSON writer, parser and validator — enough for the bench
-//! runner, campaign cache and observability exports without pulling in
-//! serde.
+//! A tiny JSON writer and parser — enough for the campaign cache, the
+//! reports and the observability exports without pulling in serde.
 //!
-//! The writer builds objects/arrays of scalars and nested values; the
-//! validator is a strict recursive-descent checker used by smoke tests to
-//! assert that emitted files are well-formed; [`parse`] reads a document
-//! back into a [`Json`] tree (the campaign runner and report generator
-//! consume their own cached artifacts through it). Numbers round-trip
+//! The writer builds objects/arrays of scalars and nested values; [`parse`]
+//! is a strict recursive-descent reader that turns a document back into a
+//! [`Json`] tree (the campaign runner and report generator consume their
+//! own cached artifacts through it, and the report writers and tests use it
+//! to assert that emitted files are well-formed). Numbers round-trip
 //! exactly: the writer's `{n}` form is Rust's shortest-roundtrip `f64`
 //! display, so `parse(render(x)) == x` for every finite value.
 
 use std::fmt::Write as _;
 
-/// Deepest array/object nesting [`parse`] and [`validate`] accept. Both
-/// recurse once per level, so without a limit a hostile document (a
-/// megabyte of `[`) would overflow the thread's stack and abort the
-/// process; past this depth they return an error instead.
+/// Deepest array/object nesting [`parse`] accepts. It recurses once per
+/// level, so without a limit a hostile document (a megabyte of `[`) would
+/// overflow the thread's stack and abort the process; past this depth it
+/// returns an error instead.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value assembled programmatically.
@@ -263,20 +262,6 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-/// Validates that `text` is one well-formed JSON document. Returns the
-/// byte offset and description of the first error.
-pub fn validate(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(())
-}
-
 /// Parses one well-formed JSON document into a [`Json`] tree. Object keys
 /// keep their document order, so `parse(x.render()).render() == x.render()`.
 ///
@@ -445,70 +430,6 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-/// Checks the value at `pos`, which sits inside `depth` open arrays and
-/// objects.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    check_depth(b, *pos, depth)?;
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                skip_ws(b, pos);
-                parse_value(b, pos, depth + 1)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_value(b, pos, depth + 1)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_literal(b, pos, b"true"),
-        Some(b'f') => parse_literal(b, pos, b"false"),
-        Some(b'n') => parse_literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
-    }
-}
-
 fn parse_literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
     if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
         *pos += lit.len();
@@ -588,7 +509,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn writer_output_validates() {
+    fn writer_output_parses() {
         let j = Json::object()
             .with("name", "bench \"x\"\n")
             .with("iters", 100u64)
@@ -603,7 +524,7 @@ mod tests {
                 Json::Arr(vec![Json::Num(1.0), Json::Null, Json::Str("s".into())]),
             );
         let text = j.render();
-        validate(&text).expect("writer must emit valid JSON");
+        parse(&text).expect("writer must emit valid JSON");
         assert!(text.contains("\"median_ns\": 12.5"));
         assert!(text.contains("\\\"x\\\""));
     }
@@ -645,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_standard_documents() {
+    fn parse_accepts_standard_documents() {
         for ok in [
             "{}",
             "[]",
@@ -655,7 +576,7 @@ mod tests {
             "  [true, false]  ",
             r#""é\n""#,
         ] {
-            validate(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+            parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
         }
     }
 
@@ -705,40 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_what_validate_rejects() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "{} extra", "\"\\q\""] {
-            assert!(parse(bad).is_err(), "accepted malformed: {bad}");
-        }
-    }
-
-    #[test]
-    fn nesting_is_bounded_in_parse_and_validate() {
-        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        let deepest = nested(MAX_DEPTH);
-        parse(&deepest).expect("MAX_DEPTH levels parse");
-        validate(&deepest).expect("MAX_DEPTH levels validate");
-        let objects = format!(
-            "{}1{}",
-            r#"{"a":"#.repeat(MAX_DEPTH + 1),
-            "}".repeat(MAX_DEPTH + 1)
-        );
-        for bad in [nested(MAX_DEPTH + 1), objects, "[".repeat(1 << 20)] {
-            let e = parse(&bad).expect_err("too deep for parse");
-            assert!(e.contains("nesting deeper than 128"), "{e}");
-            let e = validate(&bad).expect_err("too deep for validate");
-            assert!(e.contains("nesting deeper than 128"), "{e}");
-        }
-        // A megabyte of `[` on a thread with a small stack returns an error
-        // instead of overflowing the stack.
-        let small_stack = std::thread::Builder::new()
-            .stack_size(256 << 10)
-            .spawn(|| parse(&"[".repeat(1 << 20)).is_err())
-            .expect("spawn");
-        assert!(small_stack.join().expect("no stack overflow"));
-    }
-
-    #[test]
-    fn validator_rejects_malformed_documents() {
+    fn parse_rejects_malformed_documents() {
         for bad in [
             "",
             "{",
@@ -751,8 +639,32 @@ mod tests {
             "{} extra",
             "1.e5",
             "\"bad\\q\"",
+            "\"\\u12\"",
         ] {
-            assert!(validate(bad).is_err(), "accepted malformed: {bad}");
+            assert!(parse(bad).is_err(), "accepted malformed: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_in_parse() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = nested(MAX_DEPTH);
+        parse(&deepest).expect("MAX_DEPTH levels parse");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        for bad in [nested(MAX_DEPTH + 1), objects, "[".repeat(1 << 20)] {
+            let e = parse(&bad).expect_err("too deep for parse");
+            assert!(e.contains("nesting deeper than 128"), "{e}");
+        }
+        // A megabyte of `[` on a thread with a small stack returns an error
+        // instead of overflowing the stack.
+        let small_stack = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| parse(&"[".repeat(1 << 20)).is_err())
+            .expect("spawn");
+        assert!(small_stack.join().expect("no stack overflow"));
     }
 }

@@ -1,17 +1,15 @@
-//! `chiplet-harness`: the workspace's hermetic, zero-dependency test,
-//! bench and observability toolkit.
+//! `chiplet-harness`: the workspace's hermetic, zero-dependency test and
+//! host-side toolkit.
 //!
-//! The CPElide reproduction must build and validate offline, so the three
+//! The CPElide reproduction must build and validate offline, so the
 //! external crates the workspace once used are replaced in-repo:
 //!
 //! * [`rng`] replaces `rand` — deterministic SplitMix64 seeding plus a
 //!   xoshiro256** stream generator, stable across platforms and releases.
 //! * [`prop`] replaces `proptest` — seedable generators, configurable
 //!   case counts, shrink-by-halving, and `prop_assert!`-style macros.
-//! * [`mod@bench`] replaces `criterion` — a warmup+iterations wall-clock
-//!   runner reporting median/p95 and writing JSON into `results/`.
 //!
-//! [`json`] is the tiny writer/validator the other modules share.
+//! [`json`] is the tiny writer/parser the other modules share.
 //!
 //! [`fleet`] is the host-side fan-out layer: a deterministic
 //! work-stealing `parallel_map` with ordered result commit, plus the
@@ -29,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod fleet;
 pub mod json;
 pub mod prop;
@@ -37,7 +34,6 @@ pub mod rng;
 
 pub use chiplet_obs as trace;
 
-pub use bench::{BenchConfig, BenchRunner, BenchStats};
 pub use fleet::{
     parallel_map, parallel_map_ok, parallel_map_telemetry, CacheCounts, DiskCache, Fingerprint,
     FleetTelemetry, JobFailure, JobRecord, WorkerTelemetry,

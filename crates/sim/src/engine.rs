@@ -633,7 +633,7 @@ mod tests {
                 "unexpected categories: {cats:?}"
             );
             let json = trace.to_chrome_json();
-            chiplet_harness::json::validate(&json).expect("trace JSON validates");
+            chiplet_harness::json::parse(&json).expect("trace JSON validates");
             assert!(json.contains("\"process_name\""));
             assert!(json.contains("chiplet 0"));
         }

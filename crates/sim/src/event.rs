@@ -421,7 +421,7 @@ mod tests {
                 let json = e.to_json();
                 assert_eq!(json.get("label").and_then(Json::as_str), Some(e.label()));
                 assert!(format!("{e:?}").starts_with(e.label()));
-                chiplet_harness::json::validate(&json.render()).expect("valid JSON");
+                chiplet_harness::json::parse(&json.render()).expect("valid JSON");
             }
         }
     }

@@ -201,8 +201,8 @@ pub struct RunMetrics {
     pub audit: Option<TransitionAuditor>,
     /// Where the run's simulated cycles went, by engine pipeline phase.
     /// Deliberately NOT part of [`Self::to_json`]: the golden snapshots
-    /// pin that format. Exposed via [`Self::metrics_text`] /
-    /// [`Self::stats_text`] and the campaign's `campaign.prom`.
+    /// pin that format. Exposed via [`Self::metrics_text`] and the
+    /// campaign's `campaign.prom`.
     pub phases: PhaseProfile,
 }
 
@@ -228,11 +228,6 @@ impl RunMetrics {
     /// This run's energy relative to `baseline` (1.0 = equal).
     pub fn energy_ratio_to(&self, baseline: &RunMetrics) -> f64 {
         self.energy.total() / baseline.energy.total()
-    }
-
-    /// This run's total traffic relative to `baseline`.
-    pub fn traffic_ratio_to(&self, baseline: &RunMetrics) -> f64 {
-        self.traffic.total() as f64 / baseline.traffic.total() as f64
     }
 
     /// The run as a JSON object (counters, traffic, energy, histograms,
@@ -295,235 +290,6 @@ impl RunMetrics {
             );
         }
         o
-    }
-}
-
-impl RunMetrics {
-    /// Renders a gem5-style flat stats dump (`name value # comment`),
-    /// convenient for diffing runs and feeding plotting scripts.
-    pub fn stats_text(&self) -> String {
-        let mut s = String::new();
-        let mut line = |name: &str, value: String, comment: &str| {
-            s.push_str(&format!("{name:<44} {value:>20} # {comment}\n"));
-        };
-        line("sim.workload", self.workload.clone(), "application");
-        line(
-            "sim.protocol",
-            self.protocol.label().to_owned(),
-            "configuration",
-        );
-        line(
-            "sim.chiplets",
-            self.equivalent_chiplets.to_string(),
-            "GPU chiplets (equivalent)",
-        );
-        line(
-            "sim.kernels",
-            self.kernels.to_string(),
-            "dynamic kernels executed",
-        );
-        line(
-            "sim.cycles",
-            format!("{:.0}", self.cycles),
-            "total GPU cycles",
-        );
-        line(
-            "sim.exec_cycles",
-            format!("{:.0}", self.exec_cycles),
-            "kernel execution cycles",
-        );
-        line(
-            "sim.sync_cycles",
-            format!("{:.0}", self.sync_cycles),
-            "implicit-synchronization cycles",
-        );
-        line(
-            "sync.ops",
-            self.sync_ops.to_string(),
-            "bulk L2 acquires+releases performed",
-        );
-        line(
-            "sync.flushed_lines",
-            self.flushed_lines.to_string(),
-            "dirty lines drained at boundaries",
-        );
-        line(
-            "sync.acquires_performed",
-            self.sync.acquires_performed.to_string(),
-            "whole-L2 acquires performed",
-        );
-        line(
-            "sync.acquires_elided",
-            self.sync.acquires_elided.to_string(),
-            "acquires skipped vs sync-everything",
-        );
-        line(
-            "sync.releases_performed",
-            self.sync.releases_performed.to_string(),
-            "whole-L2 releases performed",
-        );
-        line(
-            "sync.releases_elided",
-            self.sync.releases_elided.to_string(),
-            "releases skipped vs sync-everything",
-        );
-        line(
-            "sync.invalidated_lines",
-            self.sync.invalidated_lines.to_string(),
-            "L2 lines dropped by acquires",
-        );
-        line(
-            "sync.remote_bytes",
-            self.sync.remote_bytes.to_string(),
-            "inter-chiplet link bytes",
-        );
-        line(
-            "l2.accesses",
-            self.l2.accesses().to_string(),
-            "aggregate L2 accesses",
-        );
-        line(
-            "l2.hit_rate",
-            format!("{:.4}", self.l2_hit_rate()),
-            "aggregate L2 hit rate",
-        );
-        line(
-            "l2.flush_writebacks",
-            self.l2.flush_writebacks.to_string(),
-            "release writebacks",
-        );
-        line(
-            "l2.invalidated",
-            self.l2.invalidated.to_string(),
-            "acquire invalidations",
-        );
-        line(
-            "l3.accesses",
-            self.l3.accesses().to_string(),
-            "LLC accesses",
-        );
-        line(
-            "l3.hit_rate",
-            format!("{:.4}", self.l3.hit_rate()),
-            "LLC hit rate",
-        );
-        line(
-            "dram.accesses",
-            self.dram_accesses.to_string(),
-            "64B HBM accesses",
-        );
-        line(
-            "noc.flits.l1_l2",
-            self.traffic.l1_l2.to_string(),
-            "L1-L2 flits",
-        );
-        line(
-            "noc.flits.l2_l3",
-            self.traffic.l2_l3.to_string(),
-            "L2-L3 flits",
-        );
-        line(
-            "noc.flits.remote",
-            self.traffic.remote.to_string(),
-            "inter-chiplet flits",
-        );
-        line(
-            "energy.total_uj",
-            format!("{:.3}", self.energy.total() / 1e6),
-            "memory-subsystem energy",
-        );
-        line(
-            "energy.dram_uj",
-            format!("{:.3}", self.energy.dram / 1e6),
-            "HBM energy",
-        );
-        line(
-            "energy.noc_uj",
-            format!("{:.3}", self.energy.noc / 1e6),
-            "interconnect energy",
-        );
-        for (h, comment) in self.hist.all() {
-            line(
-                &format!("hist.{}.p50", h.name()),
-                h.p50().to_string(),
-                comment,
-            );
-            line(
-                &format!("hist.{}.p90", h.name()),
-                h.p90().to_string(),
-                comment,
-            );
-            line(
-                &format!("hist.{}.p99", h.name()),
-                h.p99().to_string(),
-                comment,
-            );
-            line(
-                &format!("hist.{}.max", h.name()),
-                h.max().to_string(),
-                comment,
-            );
-        }
-        line(
-            "noc.link_utilization",
-            format!(
-                "{:.4}",
-                self.link_util.utilization(self.cycles.max(0.0) as u64)
-            ),
-            "inter-chiplet link busy fraction",
-        );
-        for (p, st) in self.phases.entries() {
-            line(
-                &format!("phase.{}.cycles", p.label()),
-                format!("{:.0}", st.cycles),
-                "cycles attributed to the phase",
-            );
-            line(
-                &format!("phase.{}.ops", p.label()),
-                st.ops.to_string(),
-                p.ops_unit(),
-            );
-        }
-        if let Some(a) = &self.audit {
-            line(
-                "cct.audit.transitions",
-                a.transitions().to_string(),
-                "CCT state transitions checked",
-            );
-            line(
-                "cct.audit.violations",
-                a.violations().to_string(),
-                "illegal transitions observed",
-            );
-        }
-        if let Some(t) = &self.table {
-            line(
-                "cp.table.acquires_issued",
-                t.acquires_issued.to_string(),
-                "CPElide acquires generated",
-            );
-            line(
-                "cp.table.releases_issued",
-                t.releases_issued.to_string(),
-                "CPElide releases generated",
-            );
-            line(
-                "cp.table.acquires_elided",
-                t.acquires_elided.to_string(),
-                "acquires the baseline would do",
-            );
-            line(
-                "cp.table.releases_elided",
-                t.releases_elided.to_string(),
-                "releases the baseline would do",
-            );
-            line(
-                "cp.table.max_entries",
-                t.max_live_entries.to_string(),
-                "table high-water mark",
-            );
-        }
-        s
     }
 
     /// Renders Prometheus-style text exposition for scrape-friendly
@@ -732,30 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_text_is_complete_and_parsable() {
-        let m = metrics("square", 123.0);
-        let s = m.stats_text();
-        for key in [
-            "sim.cycles",
-            "l2.hit_rate",
-            "noc.flits.remote",
-            "energy.total_uj",
-        ] {
-            assert!(s.contains(key), "missing {key}");
-        }
-        // Every line is `name value # comment`.
-        for l in s.lines() {
-            assert!(l.contains(" # "), "malformed stats line: {l}");
-        }
-    }
-
-    #[test]
     fn json_export_is_valid_and_complete() {
         let mut m = metrics("square", 123.0);
         m.sync.acquires_elided = 7;
         m.sync.remote_bytes = 160;
         let text = m.to_json().render();
-        chiplet_harness::json::validate(&text).expect("run JSON validates");
+        chiplet_harness::json::parse(&text).expect("run JSON validates");
         for key in ["acquires_elided", "remote_bytes", "hit_rate"] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
@@ -769,7 +517,7 @@ mod tests {
             m.hist.boundary_stall_cycles.observe(v / 2);
         }
         let text = m.to_json().render();
-        chiplet_harness::json::validate(&text).expect("run JSON validates");
+        chiplet_harness::json::parse(&text).expect("run JSON validates");
         for key in [
             "\"hist\"",
             "\"kernel_cycles\"",

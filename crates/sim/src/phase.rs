@@ -209,7 +209,7 @@ mod tests {
         let mut p = PhaseProfile::new();
         p.record(SimPhase::CpDecision, 12.5, 4);
         let json = p.to_json();
-        chiplet_harness::json::validate(&json).expect("phase JSON validates");
+        chiplet_harness::json::parse(&json).expect("phase JSON validates");
         for phase in SimPhase::ALL {
             assert!(json.contains(phase.label()), "{json}");
         }

@@ -90,8 +90,8 @@ cargo run --release -p cpelide-bench --bin report -- --check
 echo "== Smoke-run probe with Perfetto trace export =="
 # write_trace validates span balance and JSON well-formedness before the
 # file lands; the greps assert the artifacts exist and are non-trivial.
-CPELIDE_SMOKE=1 CPELIDE_TRACE=results/trace.json \
-  cargo run --release -p cpelide-bench --bin probe
+CPELIDE_SMOKE=1 \
+  cargo run --release -p cpelide-bench --bin probe -- --trace results/trace.json
 grep -q '"traceEvents"' results/trace.json
 grep -q 'cpelide_kernel_cycles_bucket' results/probe.prom
 
@@ -133,8 +133,5 @@ echo "== Benchmark correctness and speed floor on simulated rows (sweep-regular)
 python3 perfbench/run.py --workload sweep-regular --seed 1 --seconds 1 --trace 0 \
   > results/sweep-regular.out
 python3 scripts/perf_floor.py results/sweep-regular.out sweep-regular
-
-echo "== Bench runner (fixed iterations, JSON report) =="
-CHIPLET_BENCH_ITERS=3 CHIPLET_BENCH_WARMUP=1 cargo bench --workspace
 
 echo "ci-local: all checks passed"

@@ -173,12 +173,3 @@ fn hip_runtime_drives_the_same_table_as_from_spec() {
     }
     assert_eq!(cp_hip.table_stats().releases_issued, 0);
 }
-
-#[test]
-fn run_metrics_stats_text_roundtrips_key_counters() {
-    let w = cpelide_repro::workloads::by_name("gaussian").unwrap();
-    let m = Simulator::new(SimConfig::table1(2, ProtocolKind::CpElide)).run(&w);
-    let stats = m.stats_text();
-    assert!(stats.contains(&format!("{:.0}", m.cycles)));
-    assert!(stats.contains("cp.table.max_entries"));
-}
