@@ -85,7 +85,13 @@ pub struct AcquireCost {
 ///
 /// Generic over the cache implementation so identical traces can be run
 /// through the event-driven [`SetAssocCache`] (the default) and the
-/// reference [`chiplet_mem::ScanCache`] and compared bit-for-bit.
+/// reference [`chiplet_mem::ScanCache`] and compared bit-for-bit; the one
+/// parameter serves both the L2s and the L3, and each [`SetAssocCache`]
+/// sizes its set blocks to its own geometry. [`read`](Self::read) and
+/// [`write`](Self::write) are force-inlined through the per-protocol
+/// paths, the L2/L3 accesses and the writeback routing, so the engine's
+/// access loop reaches the cache's set block without a call on the hit
+/// or fill path.
 #[derive(Debug, Clone)]
 pub struct MemorySystem<C: CacheCore = SetAssocCache> {
     kind: ProtocolKind,
@@ -236,6 +242,7 @@ impl<C: CacheCore> MemorySystem<C> {
     }
 
     /// The home chiplet of `line`, assigning it by first touch.
+    #[inline(always)]
     pub fn home_of(&mut self, line: LineAddr, toucher: ChipletId) -> ChipletId {
         if self.config.num_chiplets == 1 {
             return ChipletId::new(0);
@@ -250,6 +257,7 @@ impl<C: CacheCore> MemorySystem<C> {
     }
 
     /// L3 read; returns true on hit. Fills on miss and charges HBM.
+    #[inline(always)]
     fn l3_read(&mut self, line: LineAddr, home: ChipletId) -> bool {
         let out = self.l3.read(line);
         if !out.hit {
@@ -263,6 +271,7 @@ impl<C: CacheCore> MemorySystem<C> {
     }
 
     /// L3 write (from a write-through store or an L2 writeback).
+    #[inline(always)]
     fn l3_write(&mut self, line: LineAddr, _home: ChipletId) {
         let out = self.l3.write(line);
         if let Some(victim) = out.writeback {
@@ -272,6 +281,7 @@ impl<C: CacheCore> MemorySystem<C> {
     }
 
     /// Routes one L2 writeback (capacity eviction or flush) downstream.
+    #[inline(always)]
     fn writeback_line(&mut self, from: ChipletId, line: LineAddr) -> bool {
         let home = self.home_of_resident(line);
         let remote = home != from;
@@ -302,6 +312,7 @@ impl<C: CacheCore> MemorySystem<C> {
 
     /// L2 access for the HMG family: performs the read and keeps the
     /// dirty-owner masks a superset of true dirtiness.
+    #[inline(always)]
     fn l2_read(&mut self, c: ChipletId, line: LineAddr) -> AccessOutcome {
         let out = self.l2[c.index()].read(line);
         self.note_eviction(c, out);
@@ -310,6 +321,7 @@ impl<C: CacheCore> MemorySystem<C> {
 
     /// L2 store for the HMG family; under write-back the line's dirty-owner
     /// bit is set so later owner probes can find it without a full scan.
+    #[inline(always)]
     fn l2_write(&mut self, c: ChipletId, line: LineAddr) -> AccessOutcome {
         let out = self.l2[c.index()].write(line);
         self.note_eviction(c, out);
@@ -373,6 +385,7 @@ impl<C: CacheCore> MemorySystem<C> {
     }
 
     /// Performs one read that missed the L1. Returns its cost class.
+    #[inline(always)]
     pub fn read(&mut self, c: ChipletId, line: LineAddr) -> CostClass {
         self.traffic.record_read_transaction(TrafficClass::L1ToL2);
         match self.kind {
@@ -384,6 +397,7 @@ impl<C: CacheCore> MemorySystem<C> {
         }
     }
 
+    #[inline(always)]
     fn read_viper(&mut self, c: ChipletId, line: LineAddr) -> CostClass {
         let home = self.home_of(line, c);
         if home != c {
@@ -414,6 +428,7 @@ impl<C: CacheCore> MemorySystem<C> {
         }
     }
 
+    #[inline(always)]
     fn read_hmg(&mut self, c: ChipletId, line: LineAddr) -> CostClass {
         let out = self.l2_read(c, line);
         let home = self.home_of(line, c);
@@ -484,6 +499,7 @@ impl<C: CacheCore> MemorySystem<C> {
 
     /// Performs one store (GPU L1s are write-through, so every store
     /// reaches the L2 level). Returns its cost class.
+    #[inline(always)]
     pub fn write(&mut self, c: ChipletId, line: LineAddr) -> CostClass {
         self.traffic.record_write_transaction(TrafficClass::L1ToL2);
         match self.kind {
@@ -495,6 +511,7 @@ impl<C: CacheCore> MemorySystem<C> {
         }
     }
 
+    #[inline(always)]
     fn write_viper(&mut self, c: ChipletId, line: LineAddr) -> CostClass {
         let home = self.home_of(line, c);
         if home == c {
@@ -514,6 +531,7 @@ impl<C: CacheCore> MemorySystem<C> {
         }
     }
 
+    #[inline(always)]
     fn write_hmg(&mut self, c: ChipletId, line: LineAddr) -> CostClass {
         let home = self.home_of(line, c);
         let remote = home != c;

@@ -5,16 +5,25 @@
 //! a few bytes per way slot and its bulk release/acquire operations cost
 //! O(touched lines), not O(capacity):
 //!
-//! * **One compact block per set** — each set owns one cache-line-aligned
-//!   [`SetBlock`] holding its set-relative tags (`line / sets`, a `u32`),
-//!   its exact LRU ranks (a `u8` per way, 0 = MRU), its valid-way mask
-//!   and its epoch. A lookup is a fixed-width compare of every tag in the
-//!   block (a plain loop LLVM vectorises) masked by the live ways, so one
-//!   access touches one set's block and nothing footprint-sized. A hit
-//!   ages the ways ranked below it, a fill ages every way, and a targeted
-//!   invalidation closes the rank gap, so a full set's LRU victim is the
-//!   way ranked `ways - 1`. A non-full set fills its first invalid way —
-//!   the reference scan's first-minimal tie-break.
+//! * **One geometry-sized block per set** — each set owns one
+//!   cache-line-aligned [`SetBlock`] holding its set-relative tags
+//!   (`line / sets`), its exact LRU ranks (a `u8` per way, 0 = MRU), its
+//!   valid-way mask and its epoch. The block is as wide as the geometry
+//!   needs: 16 ways for associativities up to 16, else 32, and its tags
+//!   are `u16` while every tag the cache has filled fits 16 bits. A
+//!   narrow 16-way block (the L3) is one 64 B host line and a narrow
+//!   32-way block (the L2) two. A lookup is a fixed-width compare of
+//!   every tag in the block (a plain loop LLVM vectorises) masked by the
+//!   live ways, so one access touches one set's block and nothing
+//!   footprint-sized. A hit ages the ways ranked below it, a fill ages
+//!   every way, and a targeted invalidation closes the rank gap, so a
+//!   full set's LRU victim is the way ranked `ways - 1`. A non-full set
+//!   fills its first invalid way — the reference scan's first-minimal
+//!   tie-break.
+//! * **Widening once, in place** — the first fill whose tag outgrows
+//!   16 bits (few sets and high lines) converts every block to `u32`
+//!   tags, copying tags, ranks, masks and epochs as they are, so no tag
+//!   ever aliases. A tag beyond `u32` still panics.
 //! * **Epoch-tagged validity** — a block's valid mask is meaningful only
 //!   while its epoch equals the cache's. `invalidate_all` (an acquire)
 //!   bumps the cache epoch: every line is dropped in O(1), and a set
@@ -29,6 +38,10 @@
 //!   the reference scan's ascending way-index writeback order
 //!   bit-for-bit.
 //!
+//! The read/write path is force-inlined from the public entry points down
+//! to the block, so a caller generic over [`CacheCore`] (the memory
+//! system) compiles each access into straight-line code.
+//!
 //! [`ScanCache`]: super::ScanCache
 
 use super::{
@@ -36,39 +49,82 @@ use super::{
     WritePolicy,
 };
 use crate::addr::LineAddr;
+use std::fmt::Debug;
 
 /// The widest associativity a [`SetBlock`] holds. Every Table I geometry
 /// is 32-way (L2) or 16-way (L3); use [`ScanCache`](super::ScanCache) for
 /// wider experiments.
 const MAX_WAYS: usize = 32;
 
+/// A set-relative tag lane: `u16` in a narrow block, `u32` in a wide one.
+trait Tag: Copy + Eq + Debug {
+    const ZERO: Self;
+    /// The lane holding `tag`, which the caller has checked fits.
+    fn lane(tag: u32) -> Self;
+    /// The tag this lane holds.
+    fn get(self) -> u32;
+}
+
+impl Tag for u16 {
+    const ZERO: Self = 0;
+    #[inline(always)]
+    fn lane(tag: u32) -> Self {
+        debug_assert!(tag <= u32::from(u16::MAX), "tag {tag} needs a wide block");
+        tag as u16
+    }
+    #[inline(always)]
+    fn get(self) -> u32 {
+        u32::from(self)
+    }
+}
+
+impl Tag for u32 {
+    const ZERO: Self = 0;
+    #[inline(always)]
+    fn lane(tag: u32) -> Self {
+        tag
+    }
+    #[inline(always)]
+    fn get(self) -> u32 {
+        self
+    }
+}
+
 /// One set's state, laid out contiguously so an access touches one block.
 /// Ways at or beyond the cache's associativity are never valid; their
 /// tags and ranks are ignored, as are those of invalid ways.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
-struct SetBlock {
+struct SetBlock<T, const W: usize> {
     /// Set-relative tag per way: the line is `tag * sets + set`.
-    tag: [u32; MAX_WAYS],
+    tag: [T; W],
     /// Exact LRU rank per valid way: 0 is the most recently used, and the
     /// `n` valid ways hold ranks `0..n`.
-    rank: [u8; MAX_WAYS],
+    rank: [u8; W],
     /// Valid bit per way; meaningful iff `epoch` is the cache's epoch.
     valid: u32,
     epoch: u32,
 }
 
-const EMPTY_SET: SetBlock = SetBlock {
-    tag: [0; MAX_WAYS],
-    rank: [0; MAX_WAYS],
-    valid: 0,
-    epoch: 0,
-};
+/// Where one access landed in its set.
+struct Slot {
+    way: usize,
+    hit: bool,
+    /// The evicted way's tag, when a full set missed.
+    evicted: Option<u32>,
+}
 
-impl SetBlock {
+impl<T: Tag, const W: usize> SetBlock<T, W> {
+    const EMPTY: Self = SetBlock {
+        tag: [T::ZERO; W],
+        rank: [0; W],
+        valid: 0,
+        epoch: 0,
+    };
+
     /// Bit `w` set iff way `w`'s tag equals `tag` (validity not checked).
-    #[inline]
-    fn tag_matches(&self, tag: u32) -> u32 {
+    #[inline(always)]
+    fn tag_matches(&self, tag: T) -> u32 {
         let mut m = 0u32;
         for (w, &t) in self.tag.iter().enumerate() {
             m |= u32::from(t == tag) << w;
@@ -77,7 +133,7 @@ impl SetBlock {
     }
 
     /// Bit `w` set iff way `w`'s rank equals `rank` (validity not checked).
-    #[inline]
+    #[inline(always)]
     fn rank_matches(&self, rank: u8) -> u32 {
         let mut m = 0u32;
         for (w, &r) in self.rank.iter().enumerate() {
@@ -86,9 +142,19 @@ impl SetBlock {
         m
     }
 
+    /// The valid-way mask, reading a stale-epoch block as empty.
+    #[inline(always)]
+    fn live(&self, epoch: u32) -> u32 {
+        if self.epoch == epoch {
+            self.valid
+        } else {
+            0
+        }
+    }
+
     /// Makes way `w` the most recently used; the ways ranked more recent
     /// than it age by one.
-    #[inline]
+    #[inline(always)]
     fn promote(&mut self, w: usize) {
         let r = self.rank[w];
         for x in &mut self.rank {
@@ -99,8 +165,8 @@ impl SetBlock {
 
     /// Installs `tag` in way `w` as the most recently used; every other
     /// way ages by one.
-    #[inline]
-    fn fill(&mut self, w: usize, tag: u32) {
+    #[inline(always)]
+    fn fill(&mut self, w: usize, tag: T) {
         for x in &mut self.rank {
             *x = x.wrapping_add(1);
         }
@@ -110,7 +176,7 @@ impl SetBlock {
     }
 
     /// Drops way `w`, closing its gap in the rank order.
-    #[inline]
+    #[inline(always)]
     fn remove(&mut self, w: usize) {
         let r = self.rank[w];
         for x in &mut self.rank {
@@ -118,6 +184,75 @@ impl SetBlock {
         }
         self.valid &= !(1 << w);
     }
+
+    /// Looks `tag` up in this set, re-stamping a stale block into `epoch`
+    /// first, and on a miss fills it: into the first invalid way, or over
+    /// the least recently used way when the set is `full`.
+    #[inline(always)]
+    fn access(&mut self, tag: T, epoch: u32, full: u32, ways: usize) -> Slot {
+        if self.epoch != epoch {
+            self.epoch = epoch;
+            self.valid = 0;
+        }
+        let hits = self.tag_matches(tag) & self.valid;
+        if hits != 0 {
+            let way = hits.trailing_zeros() as usize;
+            self.promote(way);
+            return Slot {
+                way,
+                hit: true,
+                evicted: None,
+            };
+        }
+        let victim_full = self.valid == full;
+        let way = if victim_full {
+            (self.rank_matches((ways - 1) as u8) & self.valid).trailing_zeros() as usize
+        } else {
+            (!self.valid).trailing_zeros() as usize
+        };
+        let evicted = victim_full.then(|| self.tag[way].get());
+        self.fill(way, tag);
+        Slot {
+            way,
+            hit: false,
+            evicted,
+        }
+    }
+}
+
+impl<const W: usize> SetBlock<u16, W> {
+    /// The same set with `u32` tag lanes.
+    fn widen(&self) -> SetBlock<u32, W> {
+        SetBlock {
+            tag: self.tag.map(u32::from),
+            rank: self.rank,
+            valid: self.valid,
+            epoch: self.epoch,
+        }
+    }
+}
+
+/// The cache's set blocks, in the narrowest layout its geometry and tags
+/// allow.
+#[derive(Debug, Clone)]
+enum Blocks {
+    Narrow16(Vec<SetBlock<u16, 16>>),
+    Narrow32(Vec<SetBlock<u16, 32>>),
+    Wide16(Vec<SetBlock<u32, 16>>),
+    Wide32(Vec<SetBlock<u32, 32>>),
+}
+
+/// Evaluates `$body` with `$b` bound to the block vector of `$blocks`,
+/// whatever its layout; each arm is compiled for its own block type.
+macro_rules! with_blocks {
+    ($blocks:expr, $b:ident => $body:expr) => {
+        match $blocks {
+            Blocks::Narrow16($b) => $body,
+            Blocks::Narrow32($b) => $body,
+            Blocks::Wide16($b) => $body,
+            Blocks::Wide32($b) => $body,
+        }
+    };
 }
 
 #[cold]
@@ -157,7 +292,10 @@ pub struct SetAssocCache {
     ways: usize,
     /// Valid mask of a full set.
     full: u32,
-    sets: Vec<SetBlock>,
+    /// The largest tag the blocks hold: `u16::MAX` while narrow, then
+    /// `u32::MAX`.
+    tag_limit: u32,
+    sets: Blocks,
     /// Dirty bits, 64 way slots per word. A word's contents are meaningful
     /// iff `dirty_word_epoch[w] == epoch`; otherwise the word is stale and
     /// reads as all-clean.
@@ -176,12 +314,13 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache whose set blocks are 16 ways wide for up to
+    /// 16 ways and 32 otherwise, with `u16` tags until a fill needs more.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry's associativity exceeds 32, the width of a
-    /// set block. Every Table I geometry is 32-way (L2) or 16-way (L3);
+    /// Panics if the geometry's associativity exceeds 32, the width of the
+    /// widest set block. Every Table I geometry is 32-way (L2) or 16-way (L3);
     /// use [`ScanCache`](super::ScanCache) for wider experiments.
     pub fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
         let ways = geom.ways() as usize;
@@ -193,6 +332,12 @@ impl SetAssocCache {
         let words = slots.div_ceil(64);
         let sets = geom.sets();
         let pow2 = sets.is_power_of_two();
+        let n = sets as usize;
+        let blocks = if ways <= 16 {
+            Blocks::Narrow16(vec![SetBlock::EMPTY; n])
+        } else {
+            Blocks::Narrow32(vec![SetBlock::EMPTY; n])
+        };
         SetAssocCache {
             geom,
             policy,
@@ -204,7 +349,8 @@ impl SetAssocCache {
             } else {
                 (1 << ways) - 1
             },
-            sets: vec![EMPTY_SET; sets as usize],
+            tag_limit: u32::from(u16::MAX),
+            sets: blocks,
             dirty_words: vec![0; words],
             dirty_word_epoch: vec![0; words],
             pending: Vec::new(),
@@ -253,7 +399,7 @@ impl SetAssocCache {
     ///
     /// Panics if the tag does not fit a `u32`: aliasing it would silently
     /// merge distinct lines.
-    #[inline]
+    #[inline(always)]
     fn locate(&self, line: LineAddr) -> (usize, u32) {
         let l = line.get();
         let (set, tag) = if self.set_mask != u64::MAX {
@@ -267,25 +413,21 @@ impl SetAssocCache {
         }
     }
 
-    /// The line held by way slot `i` (which must be valid).
-    #[inline]
-    fn line_at(&self, i: usize) -> LineAddr {
-        let (s, w) = (i / self.ways, i % self.ways);
-        LineAddr::new(u64::from(self.sets[s].tag[w]) * self.geom.sets() + s as u64)
+    /// Converts every block to `u32` tags, keeping its contents: the
+    /// cache is about to fill a tag beyond 16 bits.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) {
+        let blocks = std::mem::replace(&mut self.sets, Blocks::Wide16(Vec::new()));
+        self.sets = match blocks {
+            Blocks::Narrow16(b) => Blocks::Wide16(b.iter().map(SetBlock::widen).collect()),
+            Blocks::Narrow32(b) => Blocks::Wide32(b.iter().map(SetBlock::widen).collect()),
+            wide => wide,
+        };
+        self.tag_limit = u32::MAX;
     }
 
-    /// The set's valid-way mask, reading stale-epoch blocks as empty.
-    #[inline]
-    fn live_mask(&self, s: usize) -> u32 {
-        let b = &self.sets[s];
-        if b.epoch == self.epoch {
-            b.valid
-        } else {
-            0
-        }
-    }
-
-    #[inline]
+    #[inline(always)]
     fn dirty_bit(&self, i: usize) -> bool {
         let w = i / 64;
         self.dirty_word_epoch[w] == self.epoch && (self.dirty_words[w] >> (i % 64)) & 1 == 1
@@ -295,7 +437,7 @@ impl SetAssocCache {
     /// and queues its word for the next drain. Does not touch
     /// `dirty_count` — callers keep the counter to mirror the reference
     /// control flow exactly.
-    #[inline]
+    #[inline(always)]
     fn set_dirty_bit(&mut self, i: usize) {
         let w = i / 64;
         if self.dirty_word_epoch[w] != self.epoch {
@@ -344,26 +486,30 @@ impl SetAssocCache {
     #[inline]
     fn find_way(&self, line: LineAddr) -> Option<usize> {
         let (s, tag) = self.locate(line);
-        let hits = self.sets[s].tag_matches(tag) & self.live_mask(s);
+        if tag > self.tag_limit {
+            // Narrow blocks hold no tag this wide.
+            return None;
+        }
+        let epoch = self.epoch;
+        let hits =
+            with_blocks!(&self.sets, b => b[s].tag_matches(Tag::lane(tag)) & b[s].live(epoch));
         (hits != 0).then(|| s * self.ways + hits.trailing_zeros() as usize)
     }
 
+    #[inline(always)]
     fn touch(&mut self, line: LineAddr, write: bool) -> AccessOutcome {
         let make_dirty = write && self.policy == WritePolicy::WriteBack;
         let (s, tag) = self.locate(line);
-        let (epoch, full, ways) = (self.epoch, self.full, self.ways);
-        let b = &mut self.sets[s];
-        if b.epoch != epoch {
-            b.epoch = epoch;
-            b.valid = 0;
+        if tag > self.tag_limit {
+            self.widen();
         }
+        let (epoch, full, ways) = (self.epoch, self.full, self.ways);
+        // Both policies write-allocate (Table I).
+        let slot =
+            with_blocks!(&mut self.sets, b => b[s].access(Tag::lane(tag), epoch, full, ways));
+        let i = s * ways + slot.way;
 
-        // Hit path.
-        let hits = b.tag_matches(tag) & b.valid;
-        if hits != 0 {
-            let w = hits.trailing_zeros() as usize;
-            b.promote(w);
-            let i = s * ways + w;
+        if slot.hit {
             if make_dirty && !self.dirty_bit(i) {
                 self.set_dirty_bit(i);
                 self.dirty_count += 1;
@@ -375,20 +521,9 @@ impl SetAssocCache {
             };
         }
 
-        // Miss: allocate (both policies write-allocate, per Table I). A
-        // non-full set fills its first invalid way; a full set evicts its
-        // least recently used way.
-        let victim_full = b.valid == full;
-        let w = if victim_full {
-            (b.rank_matches((ways - 1) as u8) & b.valid).trailing_zeros() as usize
-        } else {
-            (!b.valid).trailing_zeros() as usize
-        };
-        let evicted =
-            victim_full.then(|| LineAddr::new(u64::from(b.tag[w]) * self.geom.sets() + s as u64));
-        b.fill(w, tag);
-        let i = s * ways + w;
-
+        let evicted = slot
+            .evicted
+            .map(|t| LineAddr::new(u64::from(t) * self.geom.sets() + s as u64));
         let mut writeback = None;
         let mut clean_eviction = None;
         if let Some(evicted) = evicted {
@@ -418,6 +553,7 @@ impl SetAssocCache {
     }
 
     /// Performs a read access.
+    #[inline(always)]
     pub fn read(&mut self, line: LineAddr) -> AccessOutcome {
         self.stats.reads += 1;
         let out = self.touch(line, false);
@@ -430,6 +566,7 @@ impl SetAssocCache {
     /// Performs a write access. Under [`WritePolicy::WriteBack`] the line
     /// becomes dirty; under [`WritePolicy::WriteThrough`] it is allocated
     /// clean (the store is propagated downstream by the caller).
+    #[inline(always)]
     pub fn write(&mut self, line: LineAddr) -> AccessOutcome {
         self.stats.writes += 1;
         let out = self.touch(line, true);
@@ -463,7 +600,7 @@ impl SetAssocCache {
         let invalidated = self.valid_count;
         let dirty = self.dirty_count;
         if self.epoch == u32::MAX {
-            self.sets.iter_mut().for_each(|b| b.epoch = 0);
+            with_blocks!(&mut self.sets, b => b.iter_mut().for_each(|x| x.epoch = 0));
             self.dirty_word_epoch.fill(0);
             self.epoch = 1;
         } else {
@@ -489,19 +626,26 @@ impl SetAssocCache {
         let mut lines = Vec::with_capacity(self.dirty_count as usize);
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_unstable();
-        for &word in &pending {
-            let w = word as usize;
-            if self.dirty_word_epoch[w] != self.epoch {
-                continue;
+        let (ways, sets) = (self.ways, self.geom.sets());
+        let (words, word_epoch, epoch) =
+            (&mut self.dirty_words, &self.dirty_word_epoch, self.epoch);
+        with_blocks!(&self.sets, blocks => {
+            for &word in &pending {
+                let w = word as usize;
+                if word_epoch[w] != epoch {
+                    continue;
+                }
+                let mut bits = words[w];
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    let (s, way) = (i / ways, i % ways);
+                    let tag = u64::from(blocks[s].tag[way].get());
+                    lines.push(LineAddr::new(tag * sets + s as u64));
+                    bits &= bits - 1;
+                }
+                words[w] = 0;
             }
-            let mut bits = self.dirty_words[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                lines.push(self.line_at(w * 64 + b));
-                bits &= bits - 1;
-            }
-            self.dirty_words[w] = 0;
-        }
+        });
         self.pending = pending;
         self.bump_drain_gen();
         debug_assert_eq!(lines.len() as u64, self.dirty_count);
@@ -517,7 +661,8 @@ impl SetAssocCache {
         let i = self.find_way(line)?;
         let was_dirty = self.dirty_bit(i);
         // A found way implies its set is stamped into the current epoch.
-        self.sets[i / self.ways].remove(i % self.ways);
+        let (s, w) = (i / self.ways, i % self.ways);
+        with_blocks!(&mut self.sets, b => b[s].remove(w));
         self.valid_count -= 1;
         if was_dirty {
             self.clear_dirty_bit(i);
@@ -570,9 +715,11 @@ impl CacheCore for SetAssocCache {
     fn probe_dirty(&self, line: LineAddr) -> bool {
         self.probe_dirty(line)
     }
+    #[inline(always)]
     fn read(&mut self, line: LineAddr) -> AccessOutcome {
         self.read(line)
     }
+    #[inline(always)]
     fn write(&mut self, line: LineAddr) -> AccessOutcome {
         self.write(line)
     }
@@ -688,21 +835,20 @@ mod tests {
         assert!(c.flush_dirty_lines().is_empty());
     }
 
-    /// Replays a seeded mixed op stream through both cores and demands
-    /// every observable match: outcomes, probes, counts, drain order and
-    /// stats. `mix` is the per-mille share of (`flush_line`,
-    /// `invalidate_line`, `flush_dirty_lines`, `flush_dirty`,
-    /// `invalidate_all`); the rest splits between reads, writes and probes.
-    /// Returns the reference core's final stats.
-    fn differential(
-        geom: CacheGeometry,
-        policy: WritePolicy,
+    /// Replays `ops` seeded mixed operations through both cores and
+    /// demands every observable match: outcomes, probes, counts and drain
+    /// order. Each line is drawn from one of `lines`, picked uniformly.
+    /// `mix` is the per-mille share of (`flush_line`, `invalidate_line`,
+    /// `flush_dirty_lines`, `flush_dirty`, `invalidate_all`); the rest
+    /// splits between reads, writes and probes.
+    fn replay(
+        ev: &mut SetAssocCache,
+        sc: &mut ScanCache,
         seed: u64,
-        lines: std::ops::Range<u64>,
+        lines: &[std::ops::Range<u64>],
         mix: [u64; 5],
-    ) -> CacheStats {
-        let mut ev = SetAssocCache::new(geom, policy);
-        let mut sc = ScanCache::new(geom, policy);
+        ops: usize,
+    ) {
         let mut x = seed;
         let mut rng = move || {
             // xorshift64* — deterministic, dependency-free.
@@ -711,7 +857,7 @@ mod tests {
             x ^= x >> 27;
             x.wrapping_mul(0x2545f4914f6cdd1d)
         };
-        let span = lines.end - lines.start;
+        let ranges = lines.len() as u64;
         let mut bounds = [0u64; 5];
         let mut acc = 0;
         for (b, m) in bounds.iter_mut().zip(mix) {
@@ -719,9 +865,11 @@ mod tests {
             *b = acc;
         }
         let rest = 1000 - acc;
-        for _ in 0..20_000 {
+        for _ in 0..ops {
             let r = rng();
-            let line = LineAddr::new(lines.start + (r >> 32) % span);
+            let pick = &lines[((r >> 32) % ranges) as usize];
+            let span = pick.end - pick.start;
+            let line = LineAddr::new(pick.start + (r >> 32) / ranges % span);
             match r % 1000 {
                 k if k < bounds[0] => assert_eq!(ev.flush_line(line), sc.flush_line(line)),
                 k if k < bounds[1] => {
@@ -741,6 +889,21 @@ mod tests {
             assert_eq!(ev.dirty_lines(), sc.dirty_lines());
         }
         assert_eq!(ev.stats(), sc.stats());
+    }
+
+    /// [`replay`] of 20,000 operations on fresh cores over one line range,
+    /// ending with a final drain that must also match. Returns the
+    /// reference core's final stats.
+    fn differential(
+        geom: CacheGeometry,
+        policy: WritePolicy,
+        seed: u64,
+        lines: std::ops::Range<u64>,
+        mix: [u64; 5],
+    ) -> CacheStats {
+        let mut ev = SetAssocCache::new(geom, policy);
+        let mut sc = ScanCache::new(geom, policy);
+        replay(&mut ev, &mut sc, seed, &[lines], mix, 20_000);
         assert_eq!(ev.flush_dirty_lines(), sc.flush_dirty_lines());
         sc.stats()
     }
@@ -760,9 +923,10 @@ mod tests {
     }
 
     /// The same differential at the Table I associativities (32-way L2,
-    /// 16-way L3) and on a non-power-of-two set count, with bulk
-    /// operations rare enough that sets fill and evict by LRU rank between
-    /// acquires, and line numbers large enough for multi-bit tags.
+    /// 16-way L3) and at 8 ways, on power-of-two and other set counts,
+    /// with bulk operations rare enough that sets fill and evict by LRU
+    /// rank between acquires. Line numbers span tags that stay within
+    /// 16 bits (narrow blocks) and tags beyond them (widened blocks).
     #[test]
     fn matches_scan_cache_at_full_associativity() {
         let geometries = [
@@ -770,9 +934,12 @@ mod tests {
             (CacheGeometry::new(16 * 16 * 64, 64, 16).unwrap(), 1 << 24),   // 16 sets
             (CacheGeometry::new(6 * 32 * 64, 64, 32).unwrap(), 12_345),     // 6 sets
             (CacheGeometry::new(12 * 16 * 64, 64, 16).unwrap(), 0),         // 12 sets
+            (CacheGeometry::new(64 * 16 * 64, 64, 16).unwrap(), 1 << 21),   // 64 sets
+            (CacheGeometry::new(32 * 8 * 64, 64, 8).unwrap(), 1 << 12),     // 32 sets
+            (CacheGeometry::new(24 * 8 * 64, 64, 8).unwrap(), 1 << 23),     // 24 sets
         ];
         for (geom, base) in geometries {
-            assert!(geom.ways() >= 16);
+            assert!(geom.ways() >= 8);
             let footprint = 2 * geom.total_lines();
             for (seed, policy) in [
                 (0x9e3779b97f4a7c15u64, WritePolicy::WriteBack),
@@ -793,6 +960,76 @@ mod tests {
                 assert!(stats.invalidated > 0 && stats.bulk_invalidates > 0);
             }
         }
+    }
+
+    /// Whether the cache still holds `u16` tags.
+    fn is_narrow(c: &SetAssocCache) -> bool {
+        matches!(c.sets, Blocks::Narrow16(_) | Blocks::Narrow32(_))
+    }
+
+    /// A stream whose tags cross 16 bits mid-run: 32 sets, first over low
+    /// lines (narrow blocks), then over those lines and lines from
+    /// 0x400000 (tag 2^17), where the first such fill widens the blocks
+    /// in place. Every observable matches the reference before and after
+    /// the widening, and lines resident across it keep hitting.
+    #[test]
+    fn matches_scan_cache_across_tag_widening() {
+        for (ways, policy, seed) in [
+            (16u32, WritePolicy::WriteBack, 0x9e3779b97f4a7c15u64),
+            (32, WritePolicy::WriteBack, 0xdeadbeefcafef00d),
+            (8, WritePolicy::WriteThrough, 0x0123456789abcdef),
+        ] {
+            let geom = CacheGeometry::new(32 * u64::from(ways) * 64, 64, ways).unwrap();
+            let mut ev = SetAssocCache::new(geom, policy);
+            let mut sc = ScanCache::new(geom, policy);
+            let footprint = 2 * geom.total_lines();
+            let (low, high) = (0..footprint, 0x40_0000..0x40_0000 + footprint);
+            let mix = [40, 40, 4, 3, 1];
+            replay(
+                &mut ev,
+                &mut sc,
+                seed,
+                std::slice::from_ref(&low),
+                mix,
+                10_000,
+            );
+            assert!(is_narrow(&ev), "{ways}-way: widened before any wide tag");
+            assert!(ev.valid_lines() > 0);
+            let before = sc.stats();
+            replay(&mut ev, &mut sc, seed ^ 1, &[low, high], mix, 10_000);
+            assert!(!is_narrow(&ev), "{ways}-way: never widened");
+            assert!(
+                sc.stats().read_hits + sc.stats().write_hits > before.read_hits + before.write_hits
+            );
+            assert_eq!(ev.flush_dirty_lines(), sc.flush_dirty_lines());
+            assert_eq!(ev.stats(), sc.stats());
+        }
+    }
+
+    /// Block layouts are pinned: a narrow 16-way block is one 64 B host
+    /// line and a narrow 32-way block two, so a field that spills a host
+    /// line fails here instead of silently costing speed.
+    #[test]
+    fn set_blocks_fill_whole_host_lines() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(size_of::<SetBlock<u16, 16>>(), 64);
+        assert_eq!(size_of::<SetBlock<u16, 32>>(), 128);
+        assert_eq!(size_of::<SetBlock<u32, 16>>(), 128);
+        assert_eq!(size_of::<SetBlock<u32, 32>>(), 192);
+        assert_eq!(align_of::<SetBlock<u16, 16>>(), 64);
+        assert_eq!(align_of::<SetBlock<u16, 32>>(), 64);
+        let layout = |ways| {
+            let geom = CacheGeometry::new(64 * 64 * u64::from(ways), 64, ways).unwrap();
+            match SetAssocCache::new(geom, WritePolicy::WriteBack).sets {
+                Blocks::Narrow16(_) => 16,
+                Blocks::Narrow32(_) => 32,
+                Blocks::Wide16(_) | Blocks::Wide32(_) => 0,
+            }
+        };
+        assert_eq!(
+            [layout(1), layout(8), layout(16), layout(17), layout(32)],
+            [16, 16, 16, 32, 32]
+        );
     }
 
     /// A full set evicts its true least-recently-used way after hits and

@@ -19,10 +19,12 @@
 //! trait:
 //!
 //! * [`SetAssocCache`] — the event-driven core the simulator runs on
-//!   (`chiplet_sim::Simulator::run`): one compact,
-//!   cache-line-aligned block of tags, LRU ranks and validity per set, so
-//!   an access touches a few host cache lines. Bulk release/acquire work
-//!   is proportional to the number of *touched* lines (dirty-word pending
+//!   (`chiplet_sim::Simulator::run`): one cache-line-aligned block of
+//!   tags, LRU ranks and validity per set, sized to the geometry (16 or
+//!   32 ways, `u16` tags until a tag outgrows them), so an access touches
+//!   one host cache line at 16 ways and two at 32. Its read/write path is
+//!   force-inlined down to the block. Bulk release/acquire work is
+//!   proportional to the number of *touched* lines (dirty-word pending
 //!   queues, epoch-tagged validity), not cache capacity.
 //! * [`ScanCache`] — the frozen per-line reference implementation whose
 //!   bulk operations walk every way. Nothing simulates on it by default;

@@ -13,6 +13,7 @@
 //! `cargo test --release`) cover the full suite.
 
 use chiplet_coherence::ProtocolKind;
+use chiplet_harness::fleet;
 use chiplet_mem::addr::LineAddr;
 use chiplet_mem::cache::{CacheCore, CacheGeometry, ScanCache, SetAssocCache, WritePolicy};
 use chiplet_sim::{SimConfig, SimEvent, Simulator};
@@ -59,27 +60,32 @@ fn observed_run<C: CacheCore>(
     (m.to_json().render(), events)
 }
 
+/// The (workload, config) pairs are independent, so they fan out over
+/// the fleet; a failed assertion in any job fails the test with that
+/// job's message once the pool has joined.
 #[test]
 fn event_core_matches_reference_scan_on_the_full_grid() {
     let workloads = grid_workloads();
     assert!(!workloads.is_empty());
-    for w in &workloads {
-        for (p, n) in configs() {
-            let (event, event_log) = observed_run::<SetAssocCache>(w, p, n);
-            let (scan, scan_log) = observed_run::<ScanCache>(w, p, n);
-            assert_eq!(
-                event,
-                scan,
-                "{}:{p}:{n}: event-driven core diverged from the reference scan",
-                w.name()
-            );
-            assert!(
-                event_log == scan_log,
-                "{}:{p}:{n}: the cores emitted different events",
-                w.name()
-            );
-        }
-    }
+    let pairs: Vec<(&Workload, ProtocolKind, usize)> = workloads
+        .iter()
+        .flat_map(|w| configs().map(move |(p, n)| (w, p, n)))
+        .collect();
+    fleet::parallel_map_ok(&pairs, fleet::workers(), |&(w, p, n)| {
+        let (event, event_log) = observed_run::<SetAssocCache>(w, p, n);
+        let (scan, scan_log) = observed_run::<ScanCache>(w, p, n);
+        assert_eq!(
+            event,
+            scan,
+            "{}:{p}:{n}: event-driven core diverged from the reference scan",
+            w.name()
+        );
+        assert!(
+            event_log == scan_log,
+            "{}:{p}:{n}: the cores emitted different events",
+            w.name()
+        );
+    });
 }
 
 // ---------------------------------------------------------------------------
