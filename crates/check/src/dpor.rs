@@ -136,12 +136,6 @@ impl Dpor {
             mutation: None,
         }
     }
-
-    /// Same exploration with a [`Mutation`] injected.
-    pub fn with_mutation(mut self, m: Mutation) -> Self {
-        self.mutation = Some(m);
-        self
-    }
 }
 
 /// Total first-touch home lines claimed so far — strictly monotone over

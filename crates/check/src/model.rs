@@ -565,12 +565,6 @@ impl Bfs {
             mutation: None,
         }
     }
-
-    /// Same exploration with a [`Mutation`] injected.
-    pub fn with_mutation(mut self, m: Mutation) -> Self {
-        self.mutation = Some(m);
-        self
-    }
 }
 
 impl Explorer for Bfs {

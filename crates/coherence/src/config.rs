@@ -50,12 +50,6 @@ impl ProtocolKind {
             .find(|k| k.label().eq_ignore_ascii_case(label))
     }
 
-    /// True if this configuration performs conservative whole-GPU L2
-    /// flush+invalidate at every kernel boundary.
-    pub fn bulk_sync_at_boundaries(self) -> bool {
-        matches!(self, ProtocolKind::Baseline)
-    }
-
     /// True for the HMG family (directory + no bulk sync).
     pub fn is_hmg(self) -> bool {
         matches!(self, ProtocolKind::Hmg | ProtocolKind::HmgWriteBack)
@@ -125,11 +119,6 @@ impl MemConfig {
             ..base
         }
     }
-
-    /// Aggregate L2 capacity across chiplets.
-    pub fn aggregate_l2_bytes(&self) -> u64 {
-        self.l2_bytes * self.num_chiplets as u64
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +134,6 @@ mod tests {
         assert_eq!(c.l3_ways, 16);
         assert_eq!(c.dir_entries, 16 * 1024);
         assert_eq!(c.dir_region_lines, 4);
-        assert_eq!(c.aggregate_l2_bytes(), 32 << 20);
     }
 
     #[test]
@@ -158,8 +146,6 @@ mod tests {
     #[test]
     fn kind_labels() {
         assert_eq!(ProtocolKind::Baseline.label(), "Baseline");
-        assert!(ProtocolKind::Baseline.bulk_sync_at_boundaries());
-        assert!(!ProtocolKind::CpElide.bulk_sync_at_boundaries());
         assert!(ProtocolKind::Hmg.is_hmg());
         assert!(ProtocolKind::HmgWriteBack.is_hmg());
         assert!(!ProtocolKind::Monolithic.is_hmg());

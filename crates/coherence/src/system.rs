@@ -11,7 +11,7 @@
 use crate::config::{MemConfig, ProtocolKind};
 use chiplet_mem::addr::{ChipletId, LineAddr};
 use chiplet_mem::cache::{AccessOutcome, CacheCore, CacheGeometry, CacheStats, WritePolicy};
-use chiplet_mem::directory::{CoarseDirectory, DirectoryStats};
+use chiplet_mem::directory::CoarseDirectory;
 use chiplet_mem::hbm::Hbm;
 use chiplet_mem::line_state::LineStateTable;
 use chiplet_mem::page::FirstTouchPlacement;
@@ -208,14 +208,6 @@ impl<C: CacheCore> MemorySystem<C> {
     /// HBM access counters.
     pub fn hbm(&self) -> &Hbm {
         &self.hbm
-    }
-
-    /// Directory counters for `c`'s home directory (zeroes for non-HMG).
-    pub fn dir_stats(&self, c: ChipletId) -> DirectoryStats {
-        self.dirs
-            .get(c.index())
-            .map(|d| d.stats())
-            .unwrap_or_default()
     }
 
     /// Total directory evictions across all home directories (0 for
@@ -788,8 +780,12 @@ mod tests {
         for r in 0..=4u64 {
             m.read(c(1), l(r * 4));
         }
-        assert!(m.dir_stats(c(0)).evictions > 0);
-        assert_eq!(m.total_dir_evictions(), m.dir_stats(c(0)).evictions);
+        assert!(m.total_dir_evictions() > 0);
+        assert_eq!(
+            m.dirs[1].stats().evictions,
+            0,
+            "all at chiplet 0's directory"
+        );
         // Region 0's line was invalidated in chiplet 1's L2 by the eviction.
         let again = m.read(c(1), l(0));
         assert_ne!(again, CostClass::L2Hit, "reuse destroyed by dir eviction");
@@ -806,7 +802,7 @@ mod tests {
         for r in 0..100u64 {
             m.read(c(0), l(r * 4));
         }
-        assert_eq!(m.dir_stats(c(0)).evictions, 0);
+        assert_eq!(m.total_dir_evictions(), 0);
         assert_eq!(m.dir_remote_invalidations(), 0);
     }
 

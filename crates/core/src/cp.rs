@@ -1,13 +1,12 @@
-//! The redesigned command processor: a global CP housing the Chiplet
-//! Coherence Table, and per-chiplet local CPs executing its synchronization
-//! requests (paper Figures 4b, 5 and 7).
+//! The redesigned global command processor housing the Chiplet Coherence
+//! Table (paper Figures 4b, 5 and 7).
 //!
-//! At each kernel launch the global CP checks the table once, generates the
-//! necessary acquires/releases, sends them over the CP crossbar to the
-//! affected local CPs, counts their acknowledgements, and only then sends
-//! "launch enable" to the chiplets hosting the kernel (§III-C "Launching
-//! Kernels"). The messages-and-acks choreography is returned to the caller
-//! as a [`LaunchDecision`] so the simulator can charge its latency.
+//! At each kernel launch the global CP checks the table once and generates
+//! the necessary per-chiplet acquires/releases (§III-C "Launching
+//! Kernels"). They are returned as a [`LaunchDecision`]; the simulator
+//! performs them on the memory system and charges their cost, including the
+//! Figure 7 request/ack/enable exchange with the local CPs, through
+//! `chiplet_sim::config::SyncCostModel`.
 
 use crate::api::KernelLaunchInfo;
 use crate::table::{ChipletCoherenceTable, SyncActions, TableStats};
@@ -25,9 +24,6 @@ pub struct LaunchDecision {
     /// 6 µs CPElide table work). Hidden behind the previous kernel's
     /// execution for all but the first kernel (§IV-B).
     pub cp_latency_us: f64,
-    /// Crossbar messages the decision requires (sync requests + acks +
-    /// launch enables), for the traffic/energy accounting.
-    pub crossbar_messages: u64,
 }
 
 impl LaunchDecision {
@@ -42,12 +38,10 @@ impl LaunchDecision {
 #[derive(Debug, Clone)]
 pub struct GlobalCp {
     table: ChipletCoherenceTable,
-    locals: Vec<LocalCp>,
-    launches: u64,
 }
 
 impl GlobalCp {
-    /// Creates a global CP (and its local CPs) for an `n`-chiplet GPU.
+    /// Creates a global CP for an `n`-chiplet GPU.
     pub fn new(num_chiplets: usize) -> Self {
         Self::with_table_capacity(num_chiplets, crate::TABLE_CAPACITY)
     }
@@ -58,24 +52,12 @@ impl GlobalCp {
     pub fn with_table_capacity(num_chiplets: usize, capacity: usize) -> Self {
         GlobalCp {
             table: ChipletCoherenceTable::with_capacity(num_chiplets, capacity),
-            locals: ChipletId::all(num_chiplets).map(LocalCp::new).collect(),
-            launches: 0,
         }
-    }
-
-    /// Number of chiplets managed.
-    pub fn num_chiplets(&self) -> usize {
-        self.locals.len()
     }
 
     /// Immutable view of the coherence table.
     pub fn table(&self) -> &ChipletCoherenceTable {
         &self.table
-    }
-
-    /// The local CP for `chiplet`.
-    pub fn local(&self, chiplet: ChipletId) -> &LocalCp {
-        &self.locals[chiplet.index()]
     }
 
     /// Cumulative table statistics.
@@ -94,90 +76,15 @@ impl GlobalCp {
         self.table.auditor()
     }
 
-    /// Processes one kernel launch end to end: table inspection, sync
-    /// generation, local-CP request/ack exchange, and launch enable.
+    /// Processes one kernel launch: the table's sync generation plus the
+    /// CP processing latency.
     pub fn launch_kernel(&mut self, info: &KernelLaunchInfo) -> LaunchDecision {
-        self.launches += 1;
         let SyncActions { acquires, releases } = self.table.prepare_launch(info);
-
-        // Send each sync op to its local CP and collect acks (Figure 7).
-        let mut messages = 0u64;
-        for &c in &acquires {
-            self.locals[c.index()].execute_acquire();
-            messages += 2; // request + ack
-        }
-        for &c in &releases {
-            self.locals[c.index()].execute_release();
-            messages += 2;
-        }
-        // Launch enable to every chiplet hosting the kernel.
-        for &c in &info.chiplets {
-            self.locals[c.index()].enable_launch();
-            messages += 1;
-        }
-
         LaunchDecision {
             acquires,
             releases,
             cp_latency_us: CP_BASE_LATENCY_US + CPELIDE_PROCESS_LATENCY_US,
-            crossbar_messages: messages,
         }
-    }
-}
-
-/// A per-chiplet local CP: executes the global CP's synchronization
-/// requests against its chiplet's caches and handles local WG dispatch.
-/// (The actual cache mutation is performed by the protocol layer; the local
-/// CP records the operations it was asked to perform.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalCp {
-    chiplet: ChipletId,
-    acquires_executed: u64,
-    releases_executed: u64,
-    launches_enabled: u64,
-}
-
-impl LocalCp {
-    /// Creates a local CP for `chiplet`.
-    pub fn new(chiplet: ChipletId) -> Self {
-        LocalCp {
-            chiplet,
-            acquires_executed: 0,
-            releases_executed: 0,
-            launches_enabled: 0,
-        }
-    }
-
-    /// The chiplet this CP manages.
-    pub fn chiplet(&self) -> ChipletId {
-        self.chiplet
-    }
-
-    fn execute_acquire(&mut self) {
-        self.acquires_executed += 1;
-    }
-
-    fn execute_release(&mut self) {
-        self.releases_executed += 1;
-    }
-
-    fn enable_launch(&mut self) {
-        self.launches_enabled += 1;
-    }
-
-    /// Acquires this local CP has executed.
-    pub fn acquires_executed(&self) -> u64 {
-        self.acquires_executed
-    }
-
-    /// Releases this local CP has executed.
-    pub fn releases_executed(&self) -> u64 {
-        self.releases_executed
-    }
-
-    /// Launch enables received.
-    pub fn launches_enabled(&self) -> u64 {
-        self.launches_enabled
     }
 }
 
@@ -191,7 +98,7 @@ mod tests {
     }
 
     #[test]
-    fn elided_launch_sends_only_enables() {
+    fn disjoint_partitions_launch_elided() {
         let mut cp = GlobalCp::new(4);
         let info = KernelLaunchInfo::builder(0, ChipletId::all(4))
             .structure(
@@ -203,14 +110,10 @@ mod tests {
             .build();
         let d = cp.launch_kernel(&info);
         assert!(d.is_elided());
-        assert_eq!(d.crossbar_messages, 4, "one enable per hosting chiplet");
-        for i in 0..4 {
-            assert_eq!(cp.local(c(i)).launches_enabled(), 1);
-        }
     }
 
     #[test]
-    fn sync_ops_reach_the_right_local_cps() {
+    fn consumer_on_another_chiplet_releases_the_producer() {
         let mut cp = GlobalCp::new(2);
         let w0 = KernelLaunchInfo::builder(0, [c(0)])
             .structure(0, 100, AccessMode::ReadWrite, [Some(0..100), None])
@@ -221,10 +124,6 @@ mod tests {
             .build();
         let d = cp.launch_kernel(&r1);
         assert_eq!(d.releases, vec![c(0)]);
-        assert_eq!(cp.local(c(0)).releases_executed(), 1);
-        assert_eq!(cp.local(c(1)).releases_executed(), 0);
-        // release request + ack + 1 enable.
-        assert_eq!(d.crossbar_messages, 3);
     }
 
     #[test]

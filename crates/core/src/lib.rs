@@ -48,7 +48,7 @@ pub mod state;
 pub mod table;
 
 pub use api::{KernelLaunchInfo, LaunchInfoBuilder, StructureAccess};
-pub use cp::{GlobalCp, LaunchDecision, LocalCp};
+pub use cp::{GlobalCp, LaunchDecision};
 pub use hip::{DevicePtr, HipRuntime, RangeChiplet};
 pub use state::{EntryState, StateEvent};
 pub use table::{ChipletCoherenceTable, SyncActions, TableStats};
@@ -62,12 +62,6 @@ pub const CP_BASE_LATENCY_US: f64 = 2.0;
 /// operations"). Hidden for all but the first kernel because kernels are
 /// enqueued ahead of launch.
 pub const CPELIDE_PROCESS_LATENCY_US: f64 = 6.0;
-
-/// The CP clock in GHz (paper §IV-B: 1.5 GHz).
-pub const CP_CLOCK_GHZ: f64 = 1.5;
-
-/// CP private-memory access latency in CP cycles (paper §IV-B: 31 cycles).
-pub const CP_MEMORY_LATENCY_CYCLES: u64 = 31;
 
 /// Maximum data structures tracked per kernel before coarsening kicks in
 /// (paper §III-A: 8, from the observation that most GPU programs access

@@ -1,10 +1,10 @@
-//! Work-group dispatch: static kernel-wide partitioning across chiplets and
-//! round-robin WG placement onto CUs within a chiplet.
+//! Work-group dispatch: static kernel-wide partitioning across chiplets.
 //!
 //! The paper's configurations use *static, kernel-wide WG partitioning*
 //! (§IV-C1): a kernel's WGs are divided into contiguous groups, one group
 //! per chiplet, and each chiplet's local CP round-robins its group across
-//! local CUs. A kernel may be bound to a subset of chiplets (multi-stream
+//! local CUs (not modeled: chiplet time is per-chiplet, not per-CU). A
+//! kernel may be bound to a subset of chiplets (multi-stream
 //! workloads bind stream *i* to chiplet(s) *j* via `hipSetDevice`).
 
 use crate::kernel::KernelSpec;
@@ -49,20 +49,6 @@ impl DispatchPlan {
     pub fn slot_of(&self, chiplet: ChipletId) -> Option<usize> {
         self.assignments.iter().position(|&(c, _)| c == chiplet)
     }
-
-    /// WGs assigned to `chiplet` (0 if not participating).
-    pub fn wgs_for(&self, chiplet: ChipletId) -> u32 {
-        self.assignments
-            .iter()
-            .find(|&&(c, _)| c == chiplet)
-            .map(|&(_, w)| w)
-            .unwrap_or(0)
-    }
-
-    /// Total WGs across all chiplets.
-    pub fn total_wgs(&self) -> u32 {
-        self.assignments.iter().map(|&(_, w)| w).sum()
-    }
 }
 
 /// The static kernel-wide WG partitioning scheduler (paper §IV-C1).
@@ -88,13 +74,13 @@ impl StaticPartitionScheduler {
     /// use chiplet_mem::array::ArrayId;
     ///
     /// let k = KernelSpec::builder("k")
-    ///     .wg_count(10)
+    ///     .wg_count(3)
     ///     .array(ArrayId::new(0), TouchKind::Load, AccessPattern::Partitioned)
     ///     .build();
     /// let chiplets: Vec<_> = ChipletId::all(4).collect();
     /// let plan = StaticPartitionScheduler::new().plan(&k, &chiplets);
-    /// assert_eq!(plan.total_wgs(), 10);
-    /// assert_eq!(plan.wgs_for(ChipletId::new(0)), 3); // 3,3,2,2
+    /// assert_eq!(plan.width(), 3); // 1,1,1 WGs; chiplet 3 gets none
+    /// assert_eq!(plan.slot_of(ChipletId::new(3)), None);
     /// ```
     ///
     /// # Panics
@@ -116,13 +102,6 @@ impl StaticPartitionScheduler {
     }
 }
 
-/// Round-robin placement of a chiplet's `wg` index onto one of `cus` CUs —
-/// the local CP's local dispatcher behaviour (paper §II-B).
-pub fn wg_to_cu(wg: u32, cus: u32) -> u32 {
-    assert!(cus > 0, "chiplet must have CUs");
-    wg % cus
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,30 +119,42 @@ mod tests {
         ChipletId::all(n).collect()
     }
 
+    /// WGs the plan assigns to `chiplet` (0 if not participating).
+    fn wgs_on(plan: &DispatchPlan, chiplet: ChipletId) -> u32 {
+        plan.assignments
+            .iter()
+            .find(|&&(c, _)| c == chiplet)
+            .map_or(0, |&(_, w)| w)
+    }
+
+    fn wgs_total(plan: &DispatchPlan) -> u32 {
+        plan.assignments.iter().map(|&(_, w)| w).sum()
+    }
+
     #[test]
     fn even_partition() {
         let plan = StaticPartitionScheduler::new().plan(&kernel(8), &chiplets(4));
         for c in ChipletId::all(4) {
-            assert_eq!(plan.wgs_for(c), 2);
+            assert_eq!(wgs_on(&plan, c), 2);
         }
-        assert_eq!(plan.total_wgs(), 8);
+        assert_eq!(wgs_total(&plan), 8);
     }
 
     #[test]
     fn remainder_goes_to_early_chiplets() {
         let plan = StaticPartitionScheduler::new().plan(&kernel(10), &chiplets(4));
-        assert_eq!(plan.wgs_for(ChipletId::new(0)), 3);
-        assert_eq!(plan.wgs_for(ChipletId::new(1)), 3);
-        assert_eq!(plan.wgs_for(ChipletId::new(2)), 2);
-        assert_eq!(plan.wgs_for(ChipletId::new(3)), 2);
+        assert_eq!(wgs_on(&plan, ChipletId::new(0)), 3);
+        assert_eq!(wgs_on(&plan, ChipletId::new(1)), 3);
+        assert_eq!(wgs_on(&plan, ChipletId::new(2)), 2);
+        assert_eq!(wgs_on(&plan, ChipletId::new(3)), 2);
     }
 
     #[test]
     fn tiny_kernels_drop_idle_chiplets() {
         let plan = StaticPartitionScheduler::new().plan(&kernel(2), &chiplets(4));
         assert_eq!(plan.width(), 2);
-        assert_eq!(plan.total_wgs(), 2);
-        assert_eq!(plan.wgs_for(ChipletId::new(3)), 0);
+        assert_eq!(wgs_total(&plan), 2);
+        assert_eq!(wgs_on(&plan, ChipletId::new(3)), 0);
     }
 
     #[test]
@@ -178,12 +169,5 @@ mod tests {
     #[should_panic(expected = "assigned twice")]
     fn duplicate_chiplet_rejected() {
         let _ = DispatchPlan::new(vec![(ChipletId::new(0), 1), (ChipletId::new(0), 2)]);
-    }
-
-    #[test]
-    fn wg_round_robin() {
-        assert_eq!(wg_to_cu(0, 60), 0);
-        assert_eq!(wg_to_cu(59, 60), 59);
-        assert_eq!(wg_to_cu(60, 60), 0);
     }
 }

@@ -236,11 +236,6 @@ impl KernelSpec {
         self.mlp
     }
 
-    /// The access entry for `array`, if the kernel touches it.
-    pub fn access_for(&self, array: ArrayId) -> Option<&ArrayAccess> {
-        self.arrays.iter().find(|a| a.array == array)
-    }
-
     /// Every field, in declaration order, for code that must handle each
     /// one (`chiplet_sim::Cell::key` destructures this tuple).
     #[allow(clippy::type_complexity)]
@@ -488,17 +483,6 @@ mod tests {
                 locality: 0.5,
             },
         );
-    }
-
-    #[test]
-    fn access_for_finds_entry() {
-        let k = KernelSpec::builder("k")
-            .array(a(0), TouchKind::Load, AccessPattern::Partitioned)
-            .array(a(1), TouchKind::Store, AccessPattern::Shared)
-            .build();
-        assert!(k.access_for(a(1)).is_some());
-        assert!(k.access_for(a(7)).is_none());
-        assert_eq!(k.access_for(a(1)).unwrap().mode, AccessMode::ReadWrite);
     }
 
     #[test]

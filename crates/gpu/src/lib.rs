@@ -12,14 +12,12 @@
 
 pub mod dispatch;
 pub mod kernel;
-pub mod occupancy;
 pub mod stream;
 pub mod table;
 pub mod trace;
 
 pub use dispatch::{DispatchPlan, StaticPartitionScheduler};
 pub use kernel::{AccessPattern, ArrayAccess, KernelBuilder, KernelId, KernelSpec, TouchKind};
-pub use occupancy::{occupancy_fraction, occupancy_wavefronts, CuResources, KernelResources};
 pub use stream::{KernelPacket, SoftwareQueue, StreamId};
 pub use table::ArrayTable;
 pub use trace::{AccessEvent, TraceGenerator};

@@ -130,11 +130,6 @@ impl SoftwareQueue {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of distinct streams currently holding packets.
-    pub fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +166,6 @@ mod tests {
         q.enqueue(StreamId::new(0), spec("a0"), None);
         q.enqueue(StreamId::new(0), spec("a1"), None);
         q.enqueue(StreamId::new(1), spec("b0"), None);
-        assert_eq!(q.active_streams(), 2);
         let r1 = q.next_round();
         assert_eq!(r1.len(), 2);
         let names: Vec<_> = r1.iter().map(|p| p.spec.name().to_owned()).collect();

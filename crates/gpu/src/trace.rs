@@ -30,7 +30,7 @@ pub struct AccessEvent {
 
 /// Splits `total` (a half-open line-index range) into `width` contiguous
 /// slices and returns slice `slot`. Earlier slots absorb the remainder.
-pub fn partition_lines(total: Range<u64>, slot: usize, width: usize) -> Range<u64> {
+fn partition_lines(total: Range<u64>, slot: usize, width: usize) -> Range<u64> {
     assert!(slot < width, "slot {slot} out of range for width {width}");
     let len = total.end - total.start;
     let (w, s) = (width as u64, slot as u64);
@@ -107,7 +107,8 @@ impl LineFootprint {
 }
 
 /// The static footprint of `pattern` for slice `slot` of `width` — the
-/// abstract-interpretation counterpart of [`TraceGenerator::lines_for`].
+/// abstract-interpretation counterpart of the line stream
+/// [`TraceGenerator::for_each_event`] replays for that slot.
 /// Soundness (every generated access lands inside `may`) and exactness
 /// (non-irregular patterns cover `may` line-for-line) are pinned by the
 /// `footprint_*` tests below.
@@ -120,44 +121,6 @@ pub fn line_footprint(
     LineFootprint {
         may: hint_lines(pattern, decl, slot, width),
         exact: !matches!(pattern, AccessPattern::Irregular { .. }),
-    }
-}
-
-/// One chiplet's static footprint on one array, as scheduled by a
-/// dispatch plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FootprintEntry {
-    /// The chiplet executing this slice of the kernel.
-    pub chiplet: ChipletId,
-    /// The array touched.
-    pub array: ArrayId,
-    /// Load / store / load-store.
-    pub touch: TouchKind,
-    /// The may/must line range.
-    pub footprint: LineFootprint,
-}
-
-impl KernelSpec {
-    /// Static per-chiplet footprints for every array this kernel touches
-    /// under `plan` — one entry per (chiplet, array), in plan order. This
-    /// is the introspection surface the static elision oracle consumes:
-    /// it mirrors exactly how [`TraceGenerator::for_each_event`] maps plan
-    /// slots to line ranges.
-    pub fn line_footprints(&self, arrays: &ArrayTable, plan: &DispatchPlan) -> Vec<FootprintEntry> {
-        let width = plan.width();
-        let mut out = Vec::with_capacity(width * self.arrays().len());
-        for (slot, chiplet) in plan.chiplets().enumerate() {
-            for acc in self.arrays() {
-                let decl = arrays.get(acc.array);
-                out.push(FootprintEntry {
-                    chiplet,
-                    array: acc.array,
-                    touch: acc.touch,
-                    footprint: line_footprint(&acc.pattern, decl, slot, width),
-                });
-            }
-        }
-        out
     }
 }
 
@@ -290,23 +253,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The lines one chiplet touches in one array (single sweep, in issue
-    /// order): a collect over the stream [`for_each_event`] replays.
-    ///
-    /// [`for_each_event`]: Self::for_each_event
-    pub fn lines_for(
-        &self,
-        pattern: &AccessPattern,
-        decl: &ArrayDecl,
-        kernel: KernelId,
-        chiplet: ChipletId,
-        slot: usize,
-        width: usize,
-    ) -> Vec<LineAddr> {
-        let mut stream = self.line_stream(pattern, decl, kernel, chiplet, slot, width);
-        (0..stream.len).map(|_| stream.next_line()).collect()
-    }
-
     /// Each array's line stream for one chiplet, with its total line
     /// count over every sweep; `None` if the chiplet is not in the plan.
     fn array_streams<'k>(
@@ -415,6 +361,21 @@ mod tests {
         (t, id)
     }
 
+    /// The lines one chiplet touches in one array (single sweep, in access
+    /// order): a collect over the stream `for_each_event` replays.
+    fn stream_lines(
+        g: &TraceGenerator,
+        pattern: &AccessPattern,
+        decl: &ArrayDecl,
+        kernel: KernelId,
+        chiplet: ChipletId,
+        slot: usize,
+        width: usize,
+    ) -> Vec<LineAddr> {
+        let mut stream = g.line_stream(pattern, decl, kernel, chiplet, slot, width);
+        (0..stream.len).map(|_| stream.next_line()).collect()
+    }
+
     #[test]
     fn partition_covers_exactly_once() {
         let total = 0..100u64;
@@ -490,8 +451,8 @@ mod tests {
             fraction: 0.25,
             locality: 1.0,
         };
-        let l1 = g.lines_for(&p, d, KernelId::new(3), ChipletId::new(1), 1, 4);
-        let l2 = g.lines_for(&p, d, KernelId::new(3), ChipletId::new(1), 1, 4);
+        let l1 = stream_lines(&g, &p, d, KernelId::new(3), ChipletId::new(1), 1, 4);
+        let l2 = stream_lines(&g, &p, d, KernelId::new(3), ChipletId::new(1), 1, 4);
         assert_eq!(l1, l2, "same seed tuple must replay");
         // 1000 lines x 0.25 kernel-wide, split over 4 chiplets.
         assert_eq!(l1.len(), 63);
@@ -511,7 +472,7 @@ mod tests {
             fraction: 1.0,
             locality: 0.0,
         };
-        let lines = g.lines_for(&p, d, KernelId::new(0), ChipletId::new(0), 0, 4);
+        let lines = stream_lines(&g, &p, d, KernelId::new(0), ChipletId::new(0), 0, 4);
         let own = partition_lines(d.line_range(), 0, 4);
         let local = lines.iter().filter(|l| own.contains(&l.get())).count();
         let frac = local as f64 / lines.len() as f64;
@@ -616,7 +577,8 @@ mod tests {
             for width in [1usize, 3, 4] {
                 for slot in 0..width {
                     let fp = line_footprint(pattern, decl, slot, width);
-                    let lines = g.lines_for(
+                    let lines = stream_lines(
+                        &g,
                         pattern,
                         decl,
                         KernelId::new(1),
@@ -644,36 +606,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn kernel_footprints_enumerate_plan_by_chiplet_and_array() {
-        let mut t = ArrayTable::new();
-        let a = t.alloc("a", 64 * 120);
-        let b = t.alloc("b", 64 * 120);
-        let k = KernelSpec::builder("k")
-            .wg_count(8)
-            .array(a, TouchKind::Load, AccessPattern::Partitioned)
-            .array(b, TouchKind::Store, AccessPattern::Shared)
-            .build();
-        let chiplets: Vec<ChipletId> = (0..3).map(ChipletId::new).collect();
-        let plan = StaticPartitionScheduler::new().plan(&k, &chiplets);
-        let fps = k.line_footprints(&t, &plan);
-        assert_eq!(fps.len(), 3 * 2);
-        // Partitioned slices tile the array; the shared store spans it on
-        // every chiplet.
-        let decl_a = t.get(a);
-        let mut covered = Vec::new();
-        for e in fps.iter().filter(|e| e.array == a) {
-            assert_eq!(e.touch, TouchKind::Load);
-            covered.extend(e.footprint.may.clone());
-        }
-        covered.sort_unstable();
-        assert_eq!(covered, decl_a.line_range().collect::<Vec<_>>());
-        for e in fps.iter().filter(|e| e.array == b) {
-            assert_eq!(e.footprint.may, t.get(b).line_range());
-            assert!(e.footprint.exact);
         }
     }
 
@@ -771,7 +703,8 @@ mod tests {
                             .iter()
                             .map(|acc| {
                                 let decl = table.get(acc.array);
-                                let lines = g.lines_for(
+                                let lines = stream_lines(
+                                    &g,
                                     &acc.pattern,
                                     decl,
                                     id,

@@ -6,7 +6,7 @@
 //! the proposed `hipSetAccessMode` API (paper Listing 1). This module holds
 //! the shared vocabulary for those declarations.
 
-use crate::addr::{Addr, LineAddr, LINE_BYTES, PAGE_BYTES};
+use crate::addr::{Addr, LINE_BYTES, PAGE_BYTES};
 use std::fmt;
 use std::ops::Range;
 
@@ -156,28 +156,6 @@ impl ArrayDecl {
         first..first + self.lines()
     }
 
-    /// The line at element-range position `frac ∈ [0, 1]` through the array.
-    pub fn line_at_fraction(&self, frac: f64) -> LineAddr {
-        let lines = self.lines();
-        let off = ((lines as f64) * frac.clamp(0.0, 1.0)) as u64;
-        LineAddr::new(self.base.line().get() + off.min(lines.saturating_sub(1)))
-    }
-
-    /// True if `line` falls inside this array.
-    pub fn contains_line(&self, line: LineAddr) -> bool {
-        self.line_range().contains(&line.get())
-    }
-
-    /// True if this array is contiguous in memory with `other` (their page
-    /// spans touch), the condition CPElide's coarsening looks for first.
-    pub fn is_contiguous_with(&self, other: &ArrayDecl) -> bool {
-        let self_pages = self.base.page().get()..=self.end().offset(PAGE_BYTES - 1).page().get();
-        let other_start = other.base.page().get();
-        let other_end = other.end().offset(PAGE_BYTES - 1).page().get();
-        // Touching or overlapping page spans.
-        *self_pages.start() <= other_end + 1 && other_start <= self_pages.end() + 1
-    }
-
     /// Every field, in declaration order, for code that must handle each
     /// one (`chiplet_sim::Cell::key` destructures this tuple).
     pub fn parts(&self) -> (ArrayId, &str, Addr, u64) {
@@ -188,18 +166,6 @@ impl ArrayDecl {
             bytes,
         } = self;
         (*id, name, *base, *bytes)
-    }
-
-    /// Distance in bytes between the two arrays' spans (0 if overlapping or
-    /// adjacent). Used by coarsening to merge the *closest* structures.
-    pub fn gap_to(&self, other: &ArrayDecl) -> u64 {
-        if self.end().get() <= other.base.get() {
-            other.base.get() - self.end().get()
-        } else if other.end().get() <= self.base.get() {
-            self.base.get() - other.end().get()
-        } else {
-            0
-        }
     }
 }
 
@@ -257,43 +223,5 @@ mod tests {
         assert_eq!(arr(0, 0, 1).lines(), 1);
         assert_eq!(arr(0, 0, 64).lines(), 1);
         assert_eq!(arr(0, 0, 65).lines(), 2);
-    }
-
-    #[test]
-    fn contains_line_bounds() {
-        let a = arr(0, 4096, 128); // lines 64 and 65
-        assert!(!a.contains_line(LineAddr::new(63)));
-        assert!(a.contains_line(LineAddr::new(64)));
-        assert!(a.contains_line(LineAddr::new(65)));
-        assert!(!a.contains_line(LineAddr::new(66)));
-    }
-
-    #[test]
-    fn contiguity_detects_adjacent_pages() {
-        let a = arr(0, 0, 4096);
-        let b = arr(1, 4096, 4096);
-        let c = arr(2, 1 << 20, 4096);
-        assert!(a.is_contiguous_with(&b));
-        assert!(b.is_contiguous_with(&a));
-        assert!(!a.is_contiguous_with(&c));
-    }
-
-    #[test]
-    fn gap_is_symmetric_and_zero_for_adjacent() {
-        let a = arr(0, 0, 4096);
-        let b = arr(1, 8192, 4096);
-        assert_eq!(a.gap_to(&b), 4096);
-        assert_eq!(b.gap_to(&a), 4096);
-        let c = arr(2, 4096, 4096);
-        assert_eq!(a.gap_to(&c), 0);
-    }
-
-    #[test]
-    fn line_at_fraction_clamps() {
-        let a = arr(0, 0, 64 * 10);
-        assert_eq!(a.line_at_fraction(0.0), LineAddr::new(0));
-        assert_eq!(a.line_at_fraction(1.0), LineAddr::new(9));
-        assert_eq!(a.line_at_fraction(2.0), LineAddr::new(9));
-        assert_eq!(a.line_at_fraction(0.5), LineAddr::new(5));
     }
 }

@@ -187,11 +187,6 @@ impl CoarseDirectory {
         }
     }
 
-    /// Lines covered per entry.
-    pub fn lines_per_entry(&self) -> u64 {
-        self.lines_per_entry
-    }
-
     /// Currently live entries.
     pub fn live_entries(&self) -> u64 {
         self.live

@@ -103,11 +103,6 @@ impl<K: DenseAddr, V: Copy> FlatMap<K, V> {
         self.slots.iter_mut().for_each(|s| *s = d);
     }
 
-    /// Allocated slots (capacity introspection for tests/diagnostics).
-    pub fn allocated_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Mutable iteration over every allocated slot (never-touched keys have
     /// no slot and are skipped). Used for bulk transforms such as clearing
     /// one chiplet's bit from every line-state mask on an acquire.
@@ -253,11 +248,6 @@ impl<K: DenseAddr, V: Copy + Default> EpochSlab<K, V> {
         }
     }
 
-    /// Allocated slots (capacity introspection for tests/diagnostics).
-    pub fn allocated_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     #[cold]
     fn ensure(&mut self, index: u64) -> usize {
         let absent = EpochSlot {
@@ -320,10 +310,10 @@ mod tests {
     fn flat_map_clear_keeps_allocation() {
         let mut m: FlatMap<LineAddr, u64> = FlatMap::new(0);
         *m.get_mut(LineAddr::new(10)) = 3;
-        let slots = m.allocated_slots();
+        let slots = m.slots.len();
         m.clear();
         assert_eq!(m.get(LineAddr::new(10)), 0);
-        assert_eq!(m.allocated_slots(), slots);
+        assert_eq!(m.slots.len(), slots);
     }
 
     #[test]
@@ -336,7 +326,7 @@ mod tests {
             assert_eq!(m.get(LineAddr::new(0x400000 + i)), i);
         }
         // Geometric growth keeps the band tight around what was touched.
-        assert!(m.allocated_slots() < 40_000);
+        assert!(m.slots.len() < 40_000);
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use cache::{CacheCore, CacheGeometry, CacheStats, ScanCache, SetAssocCache, 
 pub use directory::{CoarseDirectory, DirectoryStats};
 pub use flat::{EpochSlab, FlatMap};
 pub use line_state::LineStateTable;
-pub use page::{FirstTouchPlacement, PageTable};
+pub use page::FirstTouchPlacement;

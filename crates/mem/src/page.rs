@@ -15,7 +15,9 @@
 use crate::addr::{ChipletId, PageAddr};
 use crate::flat::FlatMap;
 
-/// First-touch page-to-home-chiplet mapping.
+/// First-touch page-to-home-chiplet mapping. One type serves both the
+/// timing model and the coherence oracle, so their notions of "home" can
+/// never drift.
 ///
 /// # Example
 ///
@@ -34,10 +36,6 @@ pub struct FirstTouchPlacement {
     homes: FlatMap<PageAddr, Option<ChipletId>>,
     placed: usize,
 }
-
-/// The shared page table: one first-touch map serves both the timing model
-/// and the coherence oracle, so their notions of "home" can never drift.
-pub type PageTable = FirstTouchPlacement;
 
 impl FirstTouchPlacement {
     /// Creates an empty placement map.

@@ -1,20 +1,22 @@
-//! Inter-chiplet link and CP crossbar models.
+//! Inter-chiplet link parameters and occupancy accounting.
 //!
 //! Table I: inter-chiplet interconnect bandwidth is 768 GB/s at a 1801 MHz
 //! GPU clock — about 426 B/cycle aggregate. Bulk flush operations (implicit
 //! releases) are bandwidth-limited: flushing a mostly-dirty 8 MiB L2 takes
 //! tens of thousands of cycles, which is exactly the overhead CPElide
-//! elides. The global↔local CP crossbar has 65-cycle unicast and 100-cycle
-//! broadcast latency (paper §IV-B).
-
-use chiplet_mem::addr::ChipletId;
+//! elides. The cycles themselves are charged by
+//! `chiplet_sim::config::SyncCostModel`, which reads
+//! [`LinkConfig::bytes_per_cycle`]; this module only holds the parameters
+//! and the per-run [`LinkUtilization`] tally.
 
 /// Static link parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Aggregate inter-chiplet bandwidth in bytes per GPU cycle.
     pub bytes_per_cycle: f64,
-    /// One-way latency of a single hop across the link, in cycles.
+    /// One-way latency of a single hop across the link, in cycles. The
+    /// engine charges the hop through `LatencyModel`'s remote adders, not
+    /// through this field.
     pub hop_latency: u64,
 }
 
@@ -39,45 +41,6 @@ impl Default for LinkConfig {
     /// latency difference (390 − 269 = 121 cycles) is the hop latency.
     fn default() -> Self {
         LinkConfig::from_bandwidth(768.0, 1801.0, 121)
-    }
-}
-
-/// Bandwidth-limited inter-chiplet link: computes the cycles consumed by
-/// bulk transfers such as implicit-release dirty-data writebacks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InterChipletLink {
-    config: LinkConfig,
-}
-
-impl InterChipletLink {
-    /// Creates a link with the given parameters.
-    pub fn new(config: LinkConfig) -> Self {
-        InterChipletLink { config }
-    }
-
-    /// The link's parameters.
-    pub fn config(&self) -> LinkConfig {
-        self.config
-    }
-
-    /// Cycles to move `bytes` across the link, bandwidth-limited, plus one
-    /// hop latency. Zero-byte transfers cost nothing.
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        (bytes as f64 / self.config.bytes_per_cycle).ceil() as u64 + self.config.hop_latency
-    }
-
-    /// Cycles to write back `lines` dirty 64 B cache lines (a bulk flush).
-    pub fn flush_cycles(&self, lines: u64) -> u64 {
-        self.transfer_cycles(lines * chiplet_mem::LINE_BYTES)
-    }
-}
-
-impl Default for InterChipletLink {
-    fn default() -> Self {
-        InterChipletLink::new(LinkConfig::default())
     }
 }
 
@@ -134,103 +97,15 @@ impl LinkUtilization {
     }
 }
 
-/// The crossbar connecting the global CP to the per-chiplet local CPs
-/// (Figure 7). Latencies from paper §IV-B: 65-cycle unicast, 100-cycle
-/// broadcast. The global CP counts acknowledgements before sending the
-/// "launch enable" message, so a synchronization round costs a round trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpCrossbar {
-    unicast_latency: u64,
-    broadcast_latency: u64,
-    messages_sent: u64,
-}
-
-impl CpCrossbar {
-    /// Creates a crossbar with the paper's latencies.
-    pub fn new() -> Self {
-        CpCrossbar {
-            unicast_latency: 65,
-            broadcast_latency: 100,
-            messages_sent: 0,
-        }
-    }
-
-    /// One-way latency for a message to `count` local CPs: unicast if one,
-    /// broadcast otherwise. Records the messages.
-    pub fn send(&mut self, count: usize) -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        self.messages_sent += count as u64;
-        if count == 1 {
-            self.unicast_latency
-        } else {
-            self.broadcast_latency
-        }
-    }
-
-    /// Latency of a full synchronization round: a request to `count` local
-    /// CPs, their acks back, and the final launch-enable broadcast —
-    /// the ack-counted protocol of paper §III-C.
-    pub fn sync_round(&mut self, count: usize) -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        let request = self.send(count);
-        // Each local CP acks with a unicast; they travel in parallel.
-        self.messages_sent += count as u64;
-        let acks = self.unicast_latency;
-        let enable = self.send(count);
-        request + acks + enable
-    }
-
-    /// Latency of a launch-enable message to chiplets hosting a kernel.
-    pub fn launch_enable(&mut self, chiplets: &[ChipletId]) -> u64 {
-        self.send(chiplets.len())
-    }
-
-    /// Total messages sent so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-}
-
-impl Default for CpCrossbar {
-    fn default() -> Self {
-        CpCrossbar::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_link_matches_table1() {
-        let l = InterChipletLink::default();
-        assert!((l.config().bytes_per_cycle - 426.43).abs() < 0.05);
-        assert_eq!(l.config().hop_latency, 121);
-    }
-
-    #[test]
-    fn transfer_is_bandwidth_limited() {
-        let l = InterChipletLink::new(LinkConfig {
-            bytes_per_cycle: 64.0,
-            hop_latency: 10,
-        });
-        assert_eq!(l.transfer_cycles(0), 0);
-        assert_eq!(l.transfer_cycles(64), 11);
-        assert_eq!(l.transfer_cycles(640), 20);
-    }
-
-    #[test]
-    fn flush_scales_with_dirty_lines() {
-        let l = InterChipletLink::new(LinkConfig {
-            bytes_per_cycle: 64.0,
-            hop_latency: 0,
-        });
-        assert_eq!(l.flush_cycles(100), 100);
-        assert!(l.flush_cycles(1000) > l.flush_cycles(10));
+        let l = LinkConfig::default();
+        assert!((l.bytes_per_cycle - 426.43).abs() < 0.05);
+        assert_eq!(l.hop_latency, 121);
     }
 
     #[test]
@@ -246,32 +121,5 @@ mod tests {
         assert!((u.utilization(400) - 0.5).abs() < 1e-12);
         assert_eq!(u.utilization(0), 0.0);
         assert_eq!(u.utilization(100), 1.0, "clamped at full occupancy");
-    }
-
-    #[test]
-    fn crossbar_unicast_vs_broadcast() {
-        let mut x = CpCrossbar::new();
-        assert_eq!(x.send(1), 65);
-        assert_eq!(x.send(4), 100);
-        assert_eq!(x.send(0), 0);
-        assert_eq!(x.messages_sent(), 5);
-    }
-
-    #[test]
-    fn sync_round_is_request_ack_enable() {
-        let mut x = CpCrossbar::new();
-        // Unicast request + unicast ack + unicast enable.
-        assert_eq!(x.sync_round(1), 65 + 65 + 65);
-        // Broadcast request + ack + broadcast enable.
-        assert_eq!(x.sync_round(3), 100 + 65 + 100);
-        assert_eq!(x.sync_round(0), 0);
-    }
-
-    #[test]
-    fn launch_enable_counts_targets() {
-        let mut x = CpCrossbar::new();
-        let lat = x.launch_enable(&[ChipletId::new(0), ChipletId::new(1)]);
-        assert_eq!(lat, 100);
-        assert_eq!(x.messages_sent(), 2);
     }
 }

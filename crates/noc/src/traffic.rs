@@ -120,11 +120,6 @@ impl FlitCounter {
     pub fn remote_bytes(&self) -> u64 {
         self.remote * FLIT_BYTES
     }
-
-    /// Total bytes across categories.
-    pub fn total_bytes(&self) -> u64 {
-        self.total() * FLIT_BYTES
-    }
 }
 
 impl Add for FlitCounter {
@@ -201,7 +196,6 @@ mod tests {
         t.record(TrafficClass::L1ToL2, 2);
         assert_eq!(t.remote_bytes(), 3 * FLIT_BYTES);
         assert_eq!(t.bytes(TrafficClass::L1ToL2), 2 * FLIT_BYTES);
-        assert_eq!(t.total_bytes(), 5 * FLIT_BYTES);
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::metrics::RunMetrics;
 use chiplet_coherence::{MemorySystem, ProtocolKind};
 use chiplet_energy::EnergyCounts;
 use chiplet_gpu::dispatch::{DispatchPlan, StaticPartitionScheduler};
-use chiplet_gpu::kernel::KernelId;
 use chiplet_gpu::stream::{KernelPacket, SoftwareQueue};
 use chiplet_gpu::trace::TraceGenerator;
 use chiplet_mem::addr::ChipletId;
@@ -77,14 +76,8 @@ impl Simulator {
         let cfg = &self.config;
         let n = cfg.num_chiplets;
         let mut mem = MemorySystem::<C>::with_core(cfg.protocol, cfg.mem);
-        // CPElide runs always carry the CCT audit: a correctness check.
-        let mut cp = (cfg.protocol == ProtocolKind::CpElide).then(|| {
-            let mut cp = GlobalCp::with_table_capacity(n, cfg.table_capacity);
-            cp.enable_audit(false);
-            cp
-        });
+        let mut cp = global_cp(cfg);
         let tracegen = TraceGenerator::new(cfg.seed);
-        let scheduler = StaticPartitionScheduler::new();
         let all_chiplets: Vec<ChipletId> = ChipletId::all(n).collect();
 
         let mut queue = SoftwareQueue::new();
@@ -106,15 +99,7 @@ impl Simulator {
         let mut first_kernel = true;
 
         while !queue.is_empty() {
-            let plans: Vec<(KernelPacket, DispatchPlan)> = queue
-                .next_round()
-                .into_iter()
-                .map(|p| {
-                    let chiplets = effective_binding(&p, &all_chiplets, self.config.num_chiplets);
-                    let plan = scheduler.plan(&p.spec, &chiplets);
-                    (p, plan)
-                })
-                .collect();
+            let plans = plan_round(&mut queue, &all_chiplets);
 
             // ---- Synchronization phase (kernel boundary) ----
             let t0 = exec_cycles + sync_cycles;
@@ -152,7 +137,7 @@ impl Simulator {
                     for (packet, plan) in &plans {
                         let info = KernelLaunchInfo::from_spec(
                             &packet.spec,
-                            KernelId::new(packet.id.get()),
+                            packet.id,
                             workload.arrays(),
                             plan,
                             n,
@@ -234,7 +219,7 @@ impl Simulator {
                     let dir_remote_invals_before = mem.dir_remote_invalidations();
                     tracegen.for_each_event(
                         spec,
-                        KernelId::new(packet.id.get()),
+                        packet.id,
                         workload.arrays(),
                         plan,
                         chiplet,
@@ -367,6 +352,36 @@ impl Simulator {
             audit,
         }
     }
+}
+
+/// The global CP a `cfg` run carries: CPElide only, and always with the
+/// CCT audit (a correctness check).
+pub(crate) fn global_cp(cfg: &SimConfig) -> Option<GlobalCp> {
+    (cfg.protocol == ProtocolKind::CpElide).then(|| {
+        let mut cp = GlobalCp::with_table_capacity(cfg.num_chiplets, cfg.table_capacity);
+        cp.enable_audit(false);
+        cp
+    })
+}
+
+/// Takes the queue's next round and plans each launch on its clamped
+/// binding: the schedule the engine and the coherence oracle share.
+pub(crate) fn plan_round(
+    queue: &mut SoftwareQueue,
+    all_chiplets: &[ChipletId],
+) -> Vec<(KernelPacket, DispatchPlan)> {
+    let scheduler = StaticPartitionScheduler::new();
+    queue
+        .next_round()
+        .into_iter()
+        .map(|p| {
+            let plan = scheduler.plan(
+                &p.spec,
+                &effective_binding(&p, all_chiplets, all_chiplets.len()),
+            );
+            (p, plan)
+        })
+        .collect()
 }
 
 /// Clamps a packet's stream binding to the simulated system, falling

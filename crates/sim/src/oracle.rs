@@ -1,9 +1,11 @@
 //! Coherence correctness oracle: verifies that a protocol's
 //! synchronization decisions never allow a chiplet to observe stale data.
 //!
-//! The oracle replays a workload's exact access traces through a *shadow
-//! memory* that tracks, per cache line, the dynamic kernel id of the last
-//! write (its **version**):
+//! The oracle replays a workload's exact access traces, on the engine's
+//! own schedule (the same round planning, the same CP with its audit,
+//! every decision of a round applied before any of its launches replays),
+//! through a *shadow memory* that tracks, per cache line, the dynamic
+//! kernel id of the last write (its **version**):
 //!
 //! * a per-chiplet shadow L2 holds `(version, dirty)` entries following the
 //!   VIPER datapath (local stores dirty the shadow, remote stores write
@@ -34,22 +36,20 @@
 //! dense-index storage ([`chiplet_mem::flat`]): version and truth maps are
 //! [`FlatMap`]s, per-chiplet shadow L2s are epoch-versioned slabs whose
 //! acquire is a single generation bump, and first-touch homes reuse the
-//! same [`PageTable`] the timing model uses. The unit tests keep the
-//! original `HashMap`-backed shadow as a reference and require
+//! same [`FirstTouchPlacement`] the timing model uses. The unit tests keep
+//! the original `HashMap`-backed shadow as a reference and require
 //! byte-identical reports from it.
 
 use crate::config::SimConfig;
+use crate::engine::{global_cp, plan_round};
 use chiplet_coherence::ProtocolKind;
-use chiplet_gpu::dispatch::StaticPartitionScheduler;
-use chiplet_gpu::kernel::KernelId;
 use chiplet_gpu::stream::SoftwareQueue;
 use chiplet_gpu::trace::TraceGenerator;
 use chiplet_mem::addr::{ChipletId, LineAddr};
 use chiplet_mem::flat::{EpochSlab, FlatMap};
-use chiplet_mem::page::PageTable;
+use chiplet_mem::page::FirstTouchPlacement;
 use chiplet_workloads::Workload;
 use cpelide::api::KernelLaunchInfo;
-use cpelide::cp::GlobalCp;
 
 /// One observed coherence violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ struct FlatShadow {
     /// may legally observe either value.
     truth: FlatMap<LineAddr, (u64, u64)>,
     /// First-touch homes — the same page table the timing model uses.
-    homes: PageTable,
+    homes: FirstTouchPlacement,
 }
 
 impl FlatShadow {
@@ -179,7 +179,7 @@ impl FlatShadow {
             global: FlatMap::new(0),
             l2: (0..chiplets).map(|_| FlatL2::default()).collect(),
             truth: FlatMap::new((0, 0)),
-            homes: PageTable::new(),
+            homes: FirstTouchPlacement::new(),
         }
     }
 }
@@ -436,7 +436,7 @@ struct BoundedShadow {
     global: FlatMap<LineAddr, u64>,
     l2: Vec<BoundedL2>,
     truth: FlatMap<LineAddr, (u64, u64)>,
-    homes: PageTable,
+    homes: FirstTouchPlacement,
 }
 
 impl BoundedShadow {
@@ -445,7 +445,7 @@ impl BoundedShadow {
             global: FlatMap::new(0),
             l2: (0..chiplets).map(|_| BoundedL2::new(sets, ways)).collect(),
             truth: FlatMap::new((0, 0)),
-            homes: PageTable::new(),
+            homes: FirstTouchPlacement::new(),
         }
     }
 }
@@ -613,18 +613,12 @@ fn dispatch(
     let cfg = SimConfig::table1(chiplets, protocol);
     let n = cfg.num_chiplets;
     match kind {
-        ShadowKind::Flat => check_inner(
-            &mut FlatShadow::new(n),
-            workload,
-            protocol,
-            &cfg,
-            sample,
-            apply_sync,
-        ),
+        ShadowKind::Flat => {
+            check_inner(&mut FlatShadow::new(n), workload, &cfg, sample, apply_sync)
+        }
         ShadowKind::Bounded { sets, ways } => check_inner(
             &mut BoundedShadow::new(n, sets, ways),
             workload,
-            protocol,
             &cfg,
             sample,
             apply_sync,
@@ -632,21 +626,23 @@ fn dispatch(
     }
 }
 
+/// Replays `workload` on the engine's schedule: each round is planned by
+/// [`plan_round`], its boundary synchronization is applied to the shadow
+/// in full, and only then do its launches replay, in round order.
 fn check_inner<S: ShadowMem>(
     shadow: &mut S,
     workload: &Workload,
-    protocol: ProtocolKind,
     cfg: &SimConfig,
     sample: usize,
     apply_sync: bool,
 ) -> OracleReport {
     let n = cfg.num_chiplets;
     let sample = sample.max(1);
-    let hmg = protocol.is_hmg();
+    let hmg = cfg.protocol.is_hmg();
 
-    let mut cp = (protocol == ProtocolKind::CpElide).then(|| GlobalCp::new(n));
+    // Never-sync mode applies no decisions, so it runs no CP.
+    let mut cp = if apply_sync { global_cp(cfg) } else { None };
     let tracegen = TraceGenerator::new(cfg.seed);
-    let scheduler = StaticPartitionScheduler::new();
     let all_chiplets: Vec<ChipletId> = ChipletId::all(n).collect();
 
     let mut queue = SoftwareQueue::new();
@@ -655,53 +651,28 @@ fn check_inner<S: ShadowMem>(
     }
 
     let mut report = OracleReport::default();
-    let mut first = true;
+    let mut first_round = true;
     while !queue.is_empty() {
-        for packet in queue.next_round() {
-            let binding: Vec<ChipletId> = match &packet.binding {
-                None => all_chiplets.clone(),
-                Some(b) => {
-                    let v: Vec<_> = b.iter().copied().filter(|c| c.index() < n).collect();
-                    if v.is_empty() {
-                        all_chiplets.clone()
-                    } else {
-                        v
-                    }
-                }
-            };
-            let plan = scheduler.plan(&packet.spec, &binding);
+        let plans = plan_round(&mut queue, &all_chiplets);
 
-            // Boundary synchronization per protocol. HMG keeps coherence
-            // per access and performs nothing at boundaries.
-            match protocol {
-                _ if hmg => {}
-                _ if !apply_sync => {
-                    // Broken-protocol mode: still run the CP so decisions
-                    // are computed, but never apply them to the shadow.
-                    if let Some(cp) = cp.as_mut() {
-                        let info = KernelLaunchInfo::from_spec(
-                            &packet.spec,
-                            KernelId::new(packet.id.get()),
-                            workload.arrays(),
-                            &plan,
-                            n,
-                        );
-                        let _ = cp.launch_kernel(&info);
-                    }
+        // Boundary synchronization per protocol. HMG keeps coherence per
+        // access and performs nothing at boundaries.
+        match cfg.protocol {
+            _ if !apply_sync => {}
+            ProtocolKind::Baseline if !first_round => {
+                for c in ChipletId::all(n) {
+                    shadow.acquire(c);
                 }
-                ProtocolKind::Baseline if !first => {
-                    for c in ChipletId::all(n) {
-                        shadow.acquire(c);
-                    }
-                }
-                ProtocolKind::CpElide => {
-                    // chiplet-check: allow(no-panic) — constructed for this protocol above
-                    let cp = cp.as_mut().expect("CPElide oracle carries a CP");
+            }
+            ProtocolKind::CpElide => {
+                // chiplet-check: allow(no-panic) — global_cp builds one for this protocol
+                let cp = cp.as_mut().expect("CPElide oracle carries a CP");
+                for (packet, plan) in &plans {
                     let info = KernelLaunchInfo::from_spec(
                         &packet.spec,
-                        KernelId::new(packet.id.get()),
+                        packet.id,
                         workload.arrays(),
-                        &plan,
+                        plan,
                         n,
                     );
                     let decision = cp.launch_kernel(&info);
@@ -712,52 +683,58 @@ fn check_inner<S: ShadowMem>(
                         shadow.release(c);
                     }
                 }
-                _ => {}
             }
-            first = false;
+            _ => {}
+        }
+        first_round = false;
 
-            // Kernel body: the version of every read must match truth.
-            // The dynamic kernel id is offset by 1 so that version 0 means
-            // "initial memory".
-            let version = packet.id.get() + 1;
+        // Kernel bodies: the version of every read must match truth.
+        // The dynamic kernel id is offset by 1 so that version 0 means
+        // "initial memory".
+        for (packet, plan) in &plans {
+            let kernel = packet.id.get();
+            let version = kernel + 1;
             for chiplet in plan.chiplets() {
-                let trace = tracegen.chiplet_trace(
+                let mut i = 0usize;
+                tracegen.for_each_event(
                     &packet.spec,
-                    KernelId::new(packet.id.get()),
+                    packet.id,
                     workload.arrays(),
-                    &plan,
+                    plan,
                     chiplet,
+                    |ev| {
+                        if ev.write {
+                            if hmg {
+                                shadow.write_through(chiplet, ev.line, version);
+                            } else {
+                                shadow.write(chiplet, ev.line, version);
+                            }
+                            report.writes_recorded += 1;
+                        } else if i.is_multiple_of(sample) {
+                            let observed = if hmg {
+                                shadow.read_shared(chiplet, ev.line)
+                            } else {
+                                shadow.read(chiplet, ev.line)
+                            };
+                            let (expected, prev) = shadow.truth_of(ev.line);
+                            report.reads_checked += 1;
+                            // A read racing a same-kernel write may see
+                            // either the new value or the pre-kernel one.
+                            let ok =
+                                observed == expected || (expected == version && observed == prev);
+                            if !ok {
+                                report.violations.push(Violation {
+                                    kernel,
+                                    chiplet,
+                                    line: ev.line,
+                                    observed,
+                                    expected,
+                                });
+                            }
+                        }
+                        i += 1;
+                    },
                 );
-                for (i, ev) in trace.iter().enumerate() {
-                    if ev.write {
-                        if hmg {
-                            shadow.write_through(chiplet, ev.line, version);
-                        } else {
-                            shadow.write(chiplet, ev.line, version);
-                        }
-                        report.writes_recorded += 1;
-                    } else if i % sample == 0 {
-                        let observed = if hmg {
-                            shadow.read_shared(chiplet, ev.line)
-                        } else {
-                            shadow.read(chiplet, ev.line)
-                        };
-                        let (expected, prev) = shadow.truth_of(ev.line);
-                        report.reads_checked += 1;
-                        // A read racing a same-kernel write may see either
-                        // the new value or the pre-kernel one.
-                        let ok = observed == expected || (expected == version && observed == prev);
-                        if !ok {
-                            report.violations.push(Violation {
-                                kernel: packet.id.get(),
-                                chiplet,
-                                line: ev.line,
-                                observed,
-                                expected,
-                            });
-                        }
-                    }
-                }
             }
         }
     }
@@ -989,7 +966,7 @@ mod tests {
             };
             let cfg = SimConfig::table1(4, ProtocolKind::CpElide);
             let mut shadow = HashShadow::new(cfg.num_chiplets);
-            let hash = check_inner(&mut shadow, &w, ProtocolKind::CpElide, &cfg, sample, sync);
+            let hash = check_inner(&mut shadow, &w, &cfg, sample, sync);
             assert!(flat.pages_placed > 0, "{name}: no pages placed");
             assert_eq!(flat.reads_checked, hash.reads_checked, "{name}");
             assert_eq!(flat.writes_recorded, hash.writes_recorded, "{name}");

@@ -9,8 +9,6 @@
 //! forbids them); host-side wall-clock attribution lives in the campaign's
 //! fleet telemetry instead.
 
-use std::fmt::Write as _;
-
 /// One engine pipeline phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimPhase {
@@ -51,17 +49,6 @@ impl SimPhase {
         }
     }
 
-    /// What the phase's `ops` counter counts.
-    pub fn ops_unit(self) -> &'static str {
-        match self {
-            SimPhase::Placement => "kernel launches",
-            SimPhase::CpDecision => "CP decisions",
-            SimPhase::AccessReplay => "trace events",
-            SimPhase::BoundaryDrain => "sync operations",
-            SimPhase::FinalDrain => "drain releases",
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             SimPhase::Placement => 0,
@@ -78,7 +65,8 @@ impl SimPhase {
 pub struct PhaseStat {
     /// Simulated cycles attributed to the phase.
     pub cycles: f64,
-    /// Operations attributed to the phase (see [`SimPhase::ops_unit`]).
+    /// Operations attributed to the phase: kernel launches, CP decisions,
+    /// trace events, sync operations or drain releases, in pipeline order.
     pub ops: u64,
 }
 
@@ -138,27 +126,6 @@ impl PhaseProfile {
         }
         self.get(phase).cycles / total
     }
-
-    /// Renders the profile as a JSON object keyed by phase label. Not part
-    /// of [`crate::RunMetrics::to_json`] — the golden snapshots pin that
-    /// format; this is for ad-hoc artifacts.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (p, s)) in self.entries().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{{\"cycles\":", p.label());
-            if s.cycles.is_finite() {
-                let _ = write!(out, "{:.3}", s.cycles);
-            } else {
-                out.push('0');
-            }
-            let _ = write!(out, ",\"ops\":{}}}", s.ops);
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -199,20 +166,5 @@ mod tests {
             SimPhase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels.len(), SimPhase::ALL.len());
         assert!(labels.contains("access_replay"));
-        for p in SimPhase::ALL {
-            assert!(!p.ops_unit().is_empty());
-        }
-    }
-
-    #[test]
-    fn json_rendering_covers_every_phase() {
-        let mut p = PhaseProfile::new();
-        p.record(SimPhase::CpDecision, 12.5, 4);
-        let json = p.to_json();
-        chiplet_harness::json::parse(&json).expect("phase JSON validates");
-        for phase in SimPhase::ALL {
-            assert!(json.contains(phase.label()), "{json}");
-        }
-        assert!(json.contains("\"cp_decision\":{\"cycles\":12.500,\"ops\":4}"));
     }
 }

@@ -10,15 +10,15 @@
 //! This facade crate re-exports the workspace's crates under one roof:
 //!
 //! * [`mem`] — caches, coarse directory, first-touch placement, HBM.
-//! * [`noc`] — crossbars, inter-chiplet links, flit accounting.
+//! * [`noc`] — flit accounting and the inter-chiplet link parameters.
 //! * [`gpu`] — kernels, streams, schedulers, trace generation.
-//! * [`cpelide`] — the Chiplet Coherence Table, global/local CPs, and the
+//! * [`cpelide`] — the Chiplet Coherence Table, the global CP, and the
 //!   `hipSetAccessMode`-style labeling API.
 //! * [`coherence`] — the protocol zoo behind one memory-system model.
 //! * [`energy`] — the per-access energy model.
 //! * [`workloads`] — the Table II applications.
-//! * [`sim`] — configuration, the engine, metrics, the cell (one
-//!   simulation and its cache key) and the coherence oracle.
+//! * [`sim`] — configuration and its cost models, the engine, metrics,
+//!   the cell (one simulation and its cache key) and the coherence oracle.
 //!
 //! # Quick start
 //!

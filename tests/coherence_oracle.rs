@@ -106,9 +106,25 @@ fn baseline_is_coherent_everywhere() {
 
 #[test]
 fn multi_stream_workloads_are_coherent_under_cpelide() {
+    // Multi-stream rounds launch several kernels at one boundary, so they
+    // are where the replay's round schedule matters; Baseline (one bulk
+    // sync per round) and HMG (no boundary sync) run here too, since the
+    // debug conformance sweep stops before the multi-stream workloads.
     for w in cpelide_repro::workloads::multi_stream_suite() {
-        let r = check_coherence(&w, ProtocolKind::CpElide, 4, 5);
-        assert!(r.is_coherent(), "{}: {:?}", w.name(), r.violations.first());
+        for p in [
+            ProtocolKind::CpElide,
+            ProtocolKind::Baseline,
+            ProtocolKind::Hmg,
+        ] {
+            let r = check_coherence(&w, p, 4, 5);
+            assert!(r.reads_checked > 0, "{}/{p}: audited no reads", w.name());
+            assert!(
+                r.is_coherent(),
+                "{}/{p}: {:?}",
+                w.name(),
+                r.violations.first()
+            );
+        }
     }
 }
 

@@ -1,26 +1,26 @@
 //! First-touch homing has exactly one implementation.
 //!
-//! PR 1's `home_log` bug class: two components each keeping a private
+//! The bug class guarded against: two components each keeping a private
 //! notion of "which chiplet owns this page" that drift apart once rows are
-//! recycled. The oracle used to carry its own `homes: HashMap`; it now
-//! reuses `chiplet_mem::page::PageTable` — the same type the timing model
-//! uses. These tests replay real traces whose pages are touched again long
-//! after their first placement (recycled CCT rows, later kernels, remote
-//! touchers) and check the flat page table agrees with an independent
-//! hash-map reference at **every single access**, not just at the end.
+//! recycled. The oracle reuses `chiplet_mem::page::FirstTouchPlacement` —
+//! the same type the timing model uses. These tests replay real traces
+//! whose pages are touched again long after their first placement
+//! (recycled CCT rows, later kernels, remote touchers) and check the flat
+//! page table agrees with an independent hash-map reference at **every
+//! single access**, not just at the end.
 
 use chiplet_coherence::ProtocolKind;
 use chiplet_gpu::dispatch::StaticPartitionScheduler;
 use chiplet_gpu::kernel::KernelId;
 use chiplet_gpu::trace::TraceGenerator;
 use chiplet_mem::addr::{ChipletId, PageAddr};
-use chiplet_mem::page::PageTable;
+use chiplet_mem::page::FirstTouchPlacement;
 use chiplet_sim::SimConfig;
 use std::collections::HashMap;
 
 /// Replays `name`'s full trace, feeding every (page, toucher) pair to both
-/// the flat `PageTable` and a plain `HashMap` first-touch reference, and
-/// asserts they agree access-by-access.
+/// the flat `FirstTouchPlacement` and a plain `HashMap` first-touch
+/// reference, and asserts they agree access-by-access.
 fn assert_homing_agrees(name: &str, chiplets: usize) {
     let w = cpelide_repro::workloads::by_name(name).expect("workload in suite");
     let cfg = SimConfig::table1(chiplets, ProtocolKind::CpElide);
@@ -29,7 +29,7 @@ fn assert_homing_agrees(name: &str, chiplets: usize) {
     let scheduler = StaticPartitionScheduler::new();
     let all: Vec<ChipletId> = ChipletId::all(n).collect();
 
-    let mut table = PageTable::new();
+    let mut table = FirstTouchPlacement::new();
     let mut reference: HashMap<PageAddr, ChipletId> = HashMap::new();
     let mut touches = 0u64;
     for (i, l) in w.launches().iter().enumerate() {
