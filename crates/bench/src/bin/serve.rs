@@ -6,8 +6,8 @@
 //! `127.0.0.1:8642`), keeps a warm `chiplet_harness::fleet` worker pool,
 //! and serves the wire protocol of DESIGN.md §16 until a client POSTs
 //! `/v1/shutdown`. With `--smoke` it runs the hermetic self-test instead
-//! (boot on an ephemeral port, stream a sweep, validate `/metrics`, shut
-//! down) — the CI smoke step.
+//! (boot on an ephemeral port, stream a sweep and stream it again from
+//! the row memo, validate `/metrics`, shut down) — the CI smoke step.
 //!
 //! Environment:
 //! - `CPELIDE_SERVE_ADDR=<host:port>`  bind address (port 0 = ephemeral).

@@ -5,11 +5,11 @@
 //! validation seams (`Cell::validated`, `SuiteTag::parse`) and rejecting
 //! client names that could break out of a Prometheus label. Validated
 //! cells are interned in a process-wide table, so a cell the daemon has
-//! seen before resolves with one map lookup, its fingerprint already
-//! computed. The client half is a deliberately tiny HTTP/1.1 reader used
-//! by the daemon's `--smoke` self-test and the e2e tests — it speaks
-//! exactly the subset the daemon serves (chunked NDJSON responses,
-//! `Connection: close`).
+//! seen before resolves with one map lookup to a shared spec whose
+//! fingerprint is already computed. The client half is a deliberately
+//! tiny HTTP/1.1 reader used by the daemon's `--smoke` self-test and the
+//! e2e tests — it speaks exactly the subset the daemon serves (chunked
+//! NDJSON responses, `Connection: close`).
 
 use super::sched::lock;
 use crate::campaign::{CellSpec, SuiteTag};
@@ -19,7 +19,7 @@ use chiplet_sim::Cell;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{LazyLock, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 use std::time::Duration;
 
 /// Upper bound on cells in one sweep request: over-grid requests are a
@@ -32,8 +32,9 @@ pub const MAX_CELLS_PER_REQUEST: usize = 4096;
 pub struct SweepRequest {
     /// Validated client identity (`[A-Za-z0-9._-]{1,64}`).
     pub client: String,
-    /// The validated cells, in request order.
-    pub specs: Vec<CellSpec>,
+    /// The validated cells, in request order, shared with the interned
+    /// cell table.
+    pub specs: Vec<Arc<CellSpec>>,
     /// Per-request deadline override (`timeout_ms`), if any.
     pub timeout: Option<Duration>,
 }
@@ -65,10 +66,10 @@ type CellKey = (String, ProtocolKind, usize, SuiteTag);
 /// passed validation is inserted, so the table is bounded by the valid
 /// axis space (workloads × protocols × chiplet counts × suites), whatever
 /// clients send. Each entry's fingerprint is computed before it is
-/// inserted, so every clone handed out carries it.
+/// inserted, and every request shares the entry itself.
 #[derive(Default)]
 struct CellTable {
-    cells: Mutex<HashMap<CellKey, CellSpec>>,
+    cells: Mutex<HashMap<CellKey, Arc<CellSpec>>>,
 }
 
 impl CellTable {
@@ -85,7 +86,7 @@ impl CellTable {
         protocol: &str,
         chiplets: usize,
         suite: &str,
-    ) -> Result<CellSpec, String> {
+    ) -> Result<Arc<CellSpec>, String> {
         let suite = SuiteTag::parse(suite)
             .ok_or_else(|| format!("unknown suite {suite:?} (known: main, multistream)"))?;
         // Registry names are lowercase and `lookup` is case-insensitive,
@@ -93,25 +94,29 @@ impl CellTable {
         if let Some(protocol) = ProtocolKind::from_label(protocol) {
             let key = (workload.to_lowercase(), protocol, chiplets, suite);
             if let Some(spec) = lock(&self.cells).get(&key) {
-                return Ok(spec.clone());
+                return Ok(Arc::clone(spec));
             }
         }
         let spec = CellSpec::new(Cell::validated(workload, protocol, chiplets)?, suite);
-        let _ = spec.fingerprint(); // memoised before any clone is taken
+        let _ = spec.fingerprint(); // memoised before the spec is shared
         let key = (
             spec.cell.workload.name().to_owned(),
             spec.cell.protocol,
             spec.cell.chiplets,
             spec.suite,
         );
-        Ok(lock(&self.cells).entry(key).or_insert(spec).clone())
+        Ok(Arc::clone(
+            lock(&self.cells)
+                .entry(key)
+                .or_insert_with(|| Arc::new(spec)),
+        ))
     }
 }
 
 /// The process-wide table [`parse_sweep`] resolves cells through.
 static CELLS: LazyLock<CellTable> = LazyLock::new(CellTable::default);
 
-fn parse_one_cell(j: &Json) -> Result<CellSpec, String> {
+fn parse_one_cell(j: &Json) -> Result<Arc<CellSpec>, String> {
     let workload = j
         .get("workload")
         .and_then(Json::as_str)
@@ -126,7 +131,7 @@ fn parse_one_cell(j: &Json) -> Result<CellSpec, String> {
     CELLS.resolve(workload, protocol, chiplets, suite)
 }
 
-fn parse_grid(j: &Json) -> Result<Vec<CellSpec>, String> {
+fn parse_grid(j: &Json) -> Result<Vec<Arc<CellSpec>>, String> {
     let strings = |key: &str| -> Result<Vec<&str>, String> {
         j.get(key)
             .and_then(Json::as_arr)

@@ -23,7 +23,7 @@ pub struct ServeMetrics {
     bad_requests_total: AtomicU64,
     /// Cells completed (ok + failed; cancellations count separately).
     cells_total: AtomicU64,
-    /// Completed cells served from the disk cache.
+    /// Completed cells served from the disk cache or the row memo.
     cache_hits_total: AtomicU64,
     /// Completed cells whose job panicked.
     cells_failed_total: AtomicU64,
@@ -71,8 +71,8 @@ impl ServeMetrics {
         self.bad_requests_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one completed cell (`cached` from the disk cache, `failed`
-    /// if its job panicked).
+    /// Counts one completed cell (`cached` from the disk cache or the row
+    /// memo, `failed` if its job panicked).
     pub fn note_cell(&self, cached: bool, failed: bool) {
         self.cells_total.fetch_add(1, Ordering::Relaxed);
         if cached {
@@ -137,7 +137,7 @@ impl ServeMetrics {
         p.counter("cpelide_serve_cells_total", "cells completed", "", cells);
         p.counter(
             "cpelide_serve_cache_hits_total",
-            "completed cells served from the disk cache",
+            "completed cells served from the disk cache or the row memo",
             "",
             hits,
         );

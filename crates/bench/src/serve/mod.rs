@@ -473,8 +473,10 @@ fn handle_sweep(body: &str, stream: &mut TcpStream, ctx: &ServeCtx) -> std::io::
 
 /// The daemon's hermetic self-test (`serve --smoke`), which is also the
 /// CI smoke step: boot on an ephemeral port, stream a two-cell sweep,
-/// check the events and the summary, check `/metrics` parses as valid
-/// Prometheus exposition, then shut down cleanly over the wire.
+/// check the events and the summary, send the same sweep again and check
+/// it is answered from the row memo with byte-equal rows (skipped with
+/// `CPELIDE_CACHE=0`, which memoises nothing), check `/metrics` parses as
+/// valid Prometheus exposition, then shut down cleanly over the wire.
 ///
 /// # Errors
 ///
@@ -499,27 +501,17 @@ pub fn smoke_self_test() -> Result<(), String> {
         {"workload":"square","protocol":"Baseline","chiplets":1},
         {"workload":"square","protocol":"CPElide","chiplets":1}
     ]}"#;
-    let sweep = client::http_request(addr, "POST", "/v1/sweep", body).map_err(io)?;
-    if sweep.status != 200 {
-        return Err(format!("sweep returned {}: {}", sweep.status, sweep.body));
-    }
-    let lines = sweep.lines();
-    if lines.len() != 3 {
-        return Err(format!("expected 2 cell events + done, got {lines:?}"));
-    }
-    for (i, line) in lines.iter().take(2).enumerate() {
-        let event = chiplet_harness::json::parse(line)
-            .map_err(|e| format!("cell event {i} is not JSON: {e}"))?;
-        if event.get("status").and_then(Json::as_str) != Some("ok") {
-            return Err(format!("cell event {i} not ok: {line}"));
+    let (first_rows, _) = smoke_sweep(addr, body)?;
+    if crate::campaign::cache_from_env().is_some() {
+        let (rows, hits) = smoke_sweep(addr, body)?;
+        if hits != Some(2.0) {
+            return Err(format!(
+                "a repeated sweep reported {hits:?} cache hits, not 2"
+            ));
         }
-        if event.get("cell").and_then(|c| c.get("metrics")).is_none() {
-            return Err(format!("cell event {i} carries no metrics: {line}"));
+        if rows != first_rows {
+            return Err("a repeated sweep's rows differ from the first".to_owned());
         }
-    }
-    let done = chiplet_harness::json::parse(lines[2]).map_err(|e| format!("done event: {e}"))?;
-    if done.get("ok").and_then(Json::as_f64) != Some(2.0) {
-        return Err(format!("done event disagrees: {}", lines[2]));
     }
 
     let metrics = client::http_request(addr, "GET", "/metrics", "").map_err(io)?;
@@ -537,6 +529,42 @@ pub fn smoke_self_test() -> Result<(), String> {
     }
     server.join();
     Ok(())
+}
+
+/// Streams the smoke sweep `body` and checks it: two ok cell events
+/// carrying metrics, then a `done` event counting two ok cells. Returns
+/// each cell event's text from its `"cell"` field on, as sent, and the
+/// `done` event's `cache_hits`.
+fn smoke_sweep(addr: SocketAddr, body: &str) -> Result<(Vec<String>, Option<f64>), String> {
+    let sweep = client::http_request(addr, "POST", "/v1/sweep", body)
+        .map_err(|e| format!("smoke request failed: {e}"))?;
+    if sweep.status != 200 {
+        return Err(format!("sweep returned {}: {}", sweep.status, sweep.body));
+    }
+    let lines = sweep.lines();
+    if lines.len() != 3 {
+        return Err(format!("expected 2 cell events + done, got {lines:?}"));
+    }
+    let mut rows = Vec::new();
+    for (i, line) in lines.iter().take(2).enumerate() {
+        let event = chiplet_harness::json::parse(line)
+            .map_err(|e| format!("cell event {i} is not JSON: {e}"))?;
+        if event.get("status").and_then(Json::as_str) != Some("ok") {
+            return Err(format!("cell event {i} not ok: {line}"));
+        }
+        if event.get("cell").and_then(|c| c.get("metrics")).is_none() {
+            return Err(format!("cell event {i} carries no metrics: {line}"));
+        }
+        let at = line
+            .find(r#","cell":"#)
+            .ok_or_else(|| format!("cell event {i} has no row: {line}"))?;
+        rows.push(line[at..].to_owned());
+    }
+    let done = chiplet_harness::json::parse(lines[2]).map_err(|e| format!("done event: {e}"))?;
+    if done.get("ok").and_then(Json::as_f64) != Some(2.0) {
+        return Err(format!("done event disagrees: {}", lines[2]));
+    }
+    Ok((rows, done.get("cache_hits").and_then(Json::as_f64)))
 }
 
 #[cfg(test)]

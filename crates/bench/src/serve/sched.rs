@@ -20,6 +20,9 @@
 //! memoises each successful cell's row by fingerprint: a row is a pure
 //! function of its fingerprint, so a cell served before is answered from
 //! the memo without touching the cache file, the parser or the renderer.
+//! The memo is read at admission: a memoised cell's slot is done before
+//! the request is returned, so it never queues, never counts against the
+//! bound and never reaches a worker. Only the misses are queued.
 
 use crate::campaign::{execute_cell, CellSpec};
 use chiplet_harness::fleet::{self, DiskCache, JobSource, ServiceJob};
@@ -87,7 +90,6 @@ enum Slot {
 #[derive(Debug)]
 struct RequestInner {
     slots: Vec<Slot>,
-    done: usize,
     cancelled: bool,
 }
 
@@ -96,36 +98,24 @@ struct RequestInner {
 /// order.
 #[derive(Debug)]
 pub struct Request {
-    client: String,
-    specs: Vec<CellSpec>,
     deadline: Option<Instant>,
     inner: Mutex<RequestInner>,
     cv: Condvar,
 }
 
 impl Request {
-    /// The validated client name this request belongs to.
-    pub fn client(&self) -> &str {
-        &self.client
-    }
-
     /// Number of cells in the request.
     pub fn total(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// The cell specs, in request order.
-    pub fn specs(&self) -> &[CellSpec] {
-        &self.specs
+        lock(&self.inner).slots.len()
     }
 }
 
 /// Why a sweep request was refused admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmitError {
-    /// Admitting the request's cells would overflow the bounded queue;
-    /// the whole request is rejected (the HTTP layer's 429). Carries
-    /// (requested, queued, bound).
+    /// Queueing the request's unmemoised cells would overflow the bounded
+    /// queue; the whole request is rejected (the HTTP layer's 429).
+    /// Carries (cells to queue, queued, bound).
     Backpressure(usize, usize, usize),
     /// The scheduler is shutting down.
     ShuttingDown,
@@ -136,8 +126,9 @@ impl std::fmt::Display for AdmitError {
         match self {
             AdmitError::Backpressure(n, queued, bound) => write!(
                 f,
-                "queue full: request of {n} cells would exceed the admission \
-                 bound ({queued} queued, bound {bound}); retry later"
+                "queue full: request needs {n} cells queued, which would \
+                 exceed the admission bound ({queued} queued, bound {bound}); \
+                 retry later"
             ),
             AdmitError::ShuttingDown => write!(f, "daemon is shutting down"),
         }
@@ -146,7 +137,7 @@ impl std::fmt::Display for AdmitError {
 
 /// A cell waiting in a client queue.
 struct QueuedCell {
-    spec: CellSpec,
+    spec: Arc<CellSpec>,
     index: usize,
     req: Arc<Request>,
 }
@@ -158,6 +149,7 @@ struct SchedState {
     /// Round-robin position into `queues`.
     cursor: usize,
     /// Total queued (not yet running) cells, the admission quantity.
+    /// Cells answered from the row memo at admission never count.
     queued: usize,
     shutdown: bool,
 }
@@ -175,7 +167,8 @@ pub struct Scheduler {
     /// Rendered rows of the cells that completed ok, by fingerprint; only
     /// filled when there is a `cache`. Cells reach the scheduler through
     /// `parse_sweep`'s validation, so this is bounded by the valid axis
-    /// space, like the interned cell table.
+    /// space, like the interned cell table. Never locked together with
+    /// another lock.
     rows: Mutex<HashMap<String, Arc<str>>>,
     metrics: Arc<ServeMetrics>,
 }
@@ -201,11 +194,6 @@ impl Scheduler {
         }
     }
 
-    /// The admission bound (maximum queued cells).
-    pub fn queue_bound(&self) -> usize {
-        self.queue_bound
-    }
-
     /// Cells currently queued (not yet picked up by a worker).
     pub fn queue_depth(&self) -> usize {
         lock(&self.state).queued
@@ -221,38 +209,61 @@ impl Scheduler {
             .collect()
     }
 
-    /// Admits a sweep: all of `specs` for `client`, or nothing.
+    /// Admits a sweep: all of `specs` for `client`, or nothing. Cells
+    /// whose rows are memoised resolve here, before the request is
+    /// returned; only the rest are queued for the worker pool, and only
+    /// they count against the queue bound.
     ///
     /// # Errors
     ///
-    /// [`AdmitError::Backpressure`] when the request would overflow the
-    /// queue bound (no cells are admitted), [`AdmitError::ShuttingDown`]
-    /// after [`Scheduler::shutdown`].
+    /// [`AdmitError::Backpressure`] when the request's unmemoised cells
+    /// would overflow the queue bound (no cells are admitted),
+    /// [`AdmitError::ShuttingDown`] after [`Scheduler::shutdown`].
     pub fn submit(
         self: &Arc<Self>,
         client: &str,
-        specs: Vec<CellSpec>,
+        specs: Vec<Arc<CellSpec>>,
         timeout: Option<Duration>,
     ) -> Result<Arc<Request>, AdmitError> {
-        let n = specs.len();
+        let memo = self.memoised_rows(&specs);
+        let misses = memo.iter().filter(|row| row.is_none()).count();
         let mut st = lock(&self.state);
         if st.shutdown {
             return Err(AdmitError::ShuttingDown);
         }
-        if st.queued + n > self.queue_bound {
-            return Err(AdmitError::Backpressure(n, st.queued, self.queue_bound));
+        if st.queued + misses > self.queue_bound {
+            return Err(AdmitError::Backpressure(
+                misses,
+                st.queued,
+                self.queue_bound,
+            ));
         }
+        let slots: Vec<Slot> = memo
+            .iter()
+            .map(|row| match row {
+                Some(row) => {
+                    self.metrics.note_cell(true, false);
+                    Slot::Done(CellDone {
+                        row: Arc::clone(row),
+                        cached: true,
+                        seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
+                        status: CellStatus::Ok,
+                    })
+                }
+                None => Slot::Queued,
+            })
+            .collect();
         let req = Arc::new(Request {
-            client: client.to_owned(),
             deadline: timeout.map(|t| Instant::now() + t),
             inner: Mutex::new(RequestInner {
-                slots: specs.iter().map(|_| Slot::Queued).collect(),
-                done: 0,
+                slots,
                 cancelled: false,
             }),
             cv: Condvar::new(),
-            specs,
         });
+        if misses == 0 {
+            return Ok(req);
+        }
         let queue = match st.queues.iter_mut().find(|(c, _)| c == client) {
             Some((_, q)) => q,
             None => {
@@ -261,17 +272,38 @@ impl Scheduler {
                 &mut st.queues[last].1
             }
         };
-        for (index, spec) in req.specs.iter().enumerate() {
-            queue.push_back(QueuedCell {
-                spec: spec.clone(),
-                index,
-                req: Arc::clone(&req),
-            });
+        for (index, (spec, row)) in specs.into_iter().zip(&memo).enumerate() {
+            if row.is_none() {
+                queue.push_back(QueuedCell {
+                    spec,
+                    index,
+                    req: Arc::clone(&req),
+                });
+            }
         }
-        st.queued += n;
+        st.queued += misses;
         drop(st);
         self.work_cv.notify_all();
         Ok(req)
+    }
+
+    /// The memoised row of each of `specs`, `None` for a cell that must
+    /// run, read under one `rows` lock. Without a disk cache the memo is
+    /// always empty, so nothing is looked up. A spec whose fingerprint
+    /// panics is a miss: its worker produces the failed row inside its
+    /// own `catch_unwind`.
+    fn memoised_rows(&self, specs: &[Arc<CellSpec>]) -> Vec<Option<Arc<str>>> {
+        if self.cache.is_none() {
+            return vec![None; specs.len()];
+        }
+        let keys: Vec<Option<String>> = specs
+            .iter()
+            .map(|spec| fleet::run_caught(|| spec.fingerprint()).ok())
+            .collect();
+        let rows = lock(&self.rows);
+        keys.iter()
+            .map(|key| key.as_ref().and_then(|k| rows.get(k).cloned()))
+            .collect()
     }
 
     /// Pops the next runnable cell, round-robin across client queues.
@@ -308,9 +340,9 @@ impl Scheduler {
     }
 
     /// The rendered row of `spec` and whether it was cached: from the row
-    /// memo when the cell was served before, otherwise through
-    /// [`execute_cell`], memoising the row when there is a disk cache (so
-    /// with `CPELIDE_CACHE=0` every cell is simulated).
+    /// memo when another worker memoised it after this cell was admitted,
+    /// otherwise through [`execute_cell`], memoising the row when there is
+    /// a disk cache (so with `CPELIDE_CACHE=0` every cell is simulated).
     fn render_cell(&self, spec: &CellSpec) -> (Arc<str>, bool) {
         let key = spec.fingerprint();
         if let Some(row) = lock(&self.rows).get(&key) {
@@ -361,7 +393,6 @@ impl Scheduler {
         };
         let mut inner = lock(&req.inner);
         inner.slots[index] = Slot::Done(done);
-        inner.done += 1;
         drop(inner);
         req.cv.notify_all();
     }
@@ -393,7 +424,6 @@ impl Scheduler {
         let mut inner = lock(&req.inner);
         if !inner.cancelled {
             inner.cancelled = true;
-            let mut newly_done = 0usize;
             for slot in &mut inner.slots {
                 if matches!(slot, Slot::Queued) {
                     let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -404,10 +434,8 @@ impl Scheduler {
                         seq,
                         status: CellStatus::Cancelled,
                     });
-                    newly_done += 1;
                 }
             }
-            inner.done += newly_done;
         }
         drop(inner);
         req.cv.notify_all();
@@ -514,15 +542,15 @@ mod tests {
     use chiplet_harness::fleet::ServicePool;
     use chiplet_sim::Cell;
 
-    fn spec(workload: &str, chiplets: usize) -> CellSpec {
-        CellSpec::new(
+    fn spec(workload: &str, chiplets: usize) -> Arc<CellSpec> {
+        Arc::new(CellSpec::new(
             Cell::new(
                 chiplet_workloads::lookup(workload).unwrap_or_else(|e| panic!("{e}")),
                 ProtocolKind::Baseline,
                 chiplets,
             ),
             SuiteTag::Main,
-        )
+        ))
     }
 
     fn sched(bound: usize) -> Arc<Scheduler> {
@@ -541,8 +569,29 @@ mod tests {
         (s, pool)
     }
 
+    /// A scheduler admitting at most `bound` queued cells, over a disk
+    /// cache in `dir` (emptied first), with no worker pool and a memo
+    /// holding [`memo_row`] for each of `hits`.
+    fn memo_sched(dir: &std::path::Path, bound: usize, hits: &[&Arc<CellSpec>]) -> Arc<Scheduler> {
+        let _ = std::fs::remove_dir_all(dir);
+        let s = Arc::new(Scheduler::new(
+            bound,
+            Some(DiskCache::new(dir)),
+            Arc::new(ServeMetrics::new()),
+        ));
+        for spec in hits {
+            lock(&s.rows).insert(spec.fingerprint(), memo_row(spec).into());
+        }
+        s
+    }
+
+    /// A made-up row that only the memo can have produced.
+    fn memo_row(spec: &CellSpec) -> String {
+        format!("memo:{}", spec.id())
+    }
+
     /// Submits `spec` alone and waits for it.
-    fn run_one(s: &Arc<Scheduler>, spec: CellSpec) -> CellDone {
+    fn run_one(s: &Arc<Scheduler>, spec: Arc<CellSpec>) -> CellDone {
         let req = s.submit("t", vec![spec], None).expect("admitted");
         s.wait_cell(&req, 0)
     }
@@ -713,5 +762,98 @@ mod tests {
         s.shutdown();
         pool.join();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memo_hits_resolve_at_admission_without_a_worker() {
+        let dir = tmp("admit-hits");
+        let cells = [spec("square", 1), spec("square", 2), spec("square", 3)];
+        let s = memo_sched(&dir, 16, &cells.iter().collect::<Vec<_>>());
+        // No ServicePool: only admission can resolve these slots.
+        let req = s.submit("t", cells.to_vec(), None).expect("admitted");
+        for (index, cell) in cells.iter().enumerate() {
+            let done = s.try_cell(&req, index).expect("resolved at admission");
+            assert_eq!(done.status, CellStatus::Ok);
+            assert!(done.cached, "a memo hit counts as cached");
+            assert_eq!(*done.row, memo_row(cell));
+        }
+        assert_eq!(s.queue_depth(), 0);
+        assert!(s.per_client_depth().is_empty(), "no client queue was made");
+        assert_eq!(s.metrics.cells_total(), 3);
+        assert_eq!(s.metrics.cache_hits_total(), 3);
+    }
+
+    #[test]
+    fn a_memo_hit_request_larger_than_the_bound_is_admitted() {
+        let dir = tmp("admit-past-bound");
+        let cells = [spec("square", 1), spec("square", 2), spec("square", 3)];
+        let s = memo_sched(&dir, 1, &cells.iter().collect::<Vec<_>>());
+        let req = s
+            .submit("t", cells.to_vec(), None)
+            .expect("memo hits never count against the bound");
+        assert!((0..3).all(|i| s.try_cell(&req, i).is_some()));
+        assert_eq!(s.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_mixed_request_queues_only_its_misses_and_streams_in_order() {
+        let dir = tmp("admit-mixed");
+        let cells = [
+            spec("square", 1),
+            spec("square", 2),
+            spec("square", 3),
+            spec("square", 4),
+        ];
+        let s = memo_sched(&dir, 2, &[&cells[0], &cells[2]]);
+        let req = s
+            .submit("t", cells.to_vec(), None)
+            .expect("two misses fit a bound of two");
+        assert_eq!(s.queue_depth(), 2, "only the misses queue");
+        let err = s
+            .submit("u", vec![spec("square", 5)], None)
+            .expect_err("the misses fill the bound");
+        assert!(matches!(err, AdmitError::Backpressure(1, 2, 2)), "{err}");
+        let resolved: Vec<bool> = (0..4).map(|i| s.try_cell(&req, i).is_some()).collect();
+        assert_eq!(resolved, [true, false, true, false]);
+        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
+        let done: Vec<CellDone> = (0..4).map(|i| s.wait_cell(&req, i)).collect();
+        for (index, (cell, done)) in cells.iter().zip(&done).enumerate() {
+            assert_eq!(done.status, CellStatus::Ok, "cell {index}");
+            if index % 2 == 0 {
+                assert!(done.cached);
+                assert_eq!(*done.row, memo_row(cell));
+            } else {
+                assert!(!done.cached, "a fresh cache simulates the miss");
+                let row = chiplet_harness::json::parse(&done.row).expect("row is JSON");
+                assert_eq!(
+                    row.get("fingerprint").and_then(Json::as_str),
+                    Some(cell.fingerprint().as_str()),
+                    "slot {index} holds its own cell's row"
+                );
+            }
+        }
+        assert!(
+            done[2].seq < done[1].seq,
+            "hits are stamped at admission, before any miss completes"
+        );
+        s.shutdown();
+        pool.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deadline_cancels_queued_misses_but_not_admitted_hits() {
+        let dir = tmp("admit-deadline");
+        let (hit, miss) = (spec("square", 1), spec("square", 2));
+        let s = memo_sched(&dir, 16, &[&hit]);
+        // No workers: the miss stays queued until the deadline cancels it.
+        let req = s
+            .submit("t", vec![miss, hit], Some(Duration::from_millis(1)))
+            .expect("admitted");
+        assert_eq!(s.wait_cell(&req, 0).status, CellStatus::Cancelled);
+        let second = s.wait_cell(&req, 1);
+        assert_eq!(second.status, CellStatus::Ok);
+        assert!(second.cached);
+        assert_eq!(s.queue_depth(), 0, "cancel removed the queued miss");
     }
 }

@@ -9,7 +9,8 @@
 //! - a client that never reads its response does not starve a concurrent
 //!   client (per-client round-robin scheduling);
 //! - a burst over the admission bound is rejected whole with a 429 and
-//!   the daemon stays serviceable;
+//!   the daemon stays serviceable, while the same burst of memoised cells
+//!   is answered at admission, since only cells that must queue count;
 //! - a request deadline cancels not-yet-started cells while the stream
 //!   still terminates with every index accounted for;
 //! - the daemon drops finished connection threads as it accepts new
@@ -352,6 +353,32 @@ fn over_quota_burst_is_rejected_whole_with_backpressure() {
         .expect("rejected counter")
         .value;
     assert_eq!(rejected as u64, 1);
+    daemon.shutdown();
+}
+
+#[test]
+fn memoised_cells_do_not_count_against_the_admission_bound() {
+    let dir = tmp("admit_memo");
+    let mut daemon = Daemon::start(&dir, &[("CPELIDE_SERVE_QUEUE", "2")]);
+    let grid = |protocols: &str| {
+        format!(
+            r#"{{"client":"t","grid":{{"workloads":["square"],"protocols":{protocols},"chiplets":[1]}}}}"#
+        )
+    };
+    let all = grid(r#"["Baseline","CPElide","HMG"]"#);
+    let cold = client::http_request(daemon.addr, "POST", "/v1/sweep", &all).expect("cold sweep");
+    assert_eq!(cold.status, 429, "three cold cells overflow a bound of two");
+    // Warm the same three cells in requests the bound admits.
+    for part in [r#"["Baseline","CPElide"]"#, r#"["HMG"]"#] {
+        let resp =
+            client::http_request(daemon.addr, "POST", "/v1/sweep", &grid(part)).expect("warm-up");
+        parse_stream(&resp);
+    }
+    let warm = client::http_request(daemon.addr, "POST", "/v1/sweep", &all).expect("warm sweep");
+    let (cells, done) = parse_stream(&warm);
+    assert_eq!(cells.len(), 3);
+    assert_eq!(done.get("ok").and_then(Json::as_f64), Some(3.0));
+    assert_eq!(done.get("cache_hits").and_then(Json::as_f64), Some(3.0));
     daemon.shutdown();
 }
 

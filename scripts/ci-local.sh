@@ -105,8 +105,10 @@ cargo run --release -p chiplet-check -- --model-check --check
 
 echo "== Daemon smoke (serve --smoke hermetic self-test) =="
 # Boots the campaign daemon on an ephemeral port, streams a two-cell
-# sweep, validates /metrics with the in-repo prom parser, and shuts down
-# cleanly over the wire. See DESIGN.md §16.
+# sweep, sends it again and requires 2 cache hits answered from the row
+# memo at admission with byte-equal rows, validates /metrics with the
+# in-repo prom parser, and shuts down cleanly over the wire. See
+# DESIGN.md §16.
 cargo run --release -p cpelide-bench --bin serve -- --smoke
 
 echo "== Benchmark correctness gate on served rows (serve-warm) =="
