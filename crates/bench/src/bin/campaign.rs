@@ -75,10 +75,9 @@ fn main() {
     }
     let t = &outcome.telemetry;
     println!(
-        "fleet: {} jobs on {} worker(s), {} stolen, wall p50/p99 {}/{} us",
+        "fleet: {} jobs on {} worker(s), wall p50/p99 {}/{} us",
         t.jobs,
         t.workers,
-        t.stolen_total(),
         t.job_latency_us.p50(),
         t.job_latency_us.p99(),
     );

@@ -576,10 +576,9 @@ pub fn obs_section(prom: &str) -> Result<String, String> {
     out.push_str("Fleet (wall clock, this host — not reproducible)\n");
     let workers = need("cpelide_fleet_workers", "")? as usize;
     out.push_str(&format!(
-        "  {} worker(s), {:.1} ms wall, {:.0} job(s) stolen\n",
+        "  {} worker(s), {:.1} ms wall\n",
         workers,
         need("cpelide_fleet_elapsed_us", "")? / 1000.0,
-        need("cpelide_fleet_jobs_stolen_total", "")?,
     ));
     if let (Some(p50), Some(p99)) = (
         find("cpelide_fleet_job_wall_us_p50", ""),
@@ -588,17 +587,16 @@ pub fn obs_section(prom: &str) -> Result<String, String> {
         out.push_str(&format!("  job latency p50/p99: {p50:.0}/{p99:.0} us\n"));
     }
     out.push_str(&format!(
-        "  {:<8} {:>6} {:>7} {:>12}\n",
-        "worker", "jobs", "stolen", "utilization"
+        "  {:<8} {:>6} {:>12}\n",
+        "worker", "jobs", "utilization"
     ));
-    out.push_str(&format!("  {}\n", crate::rule(36)));
+    out.push_str(&format!("  {}\n", crate::rule(28)));
     for w in 0..workers {
         let labels = format!("worker=\"{w}\"");
         out.push_str(&format!(
-            "  {:<8} {:>6.0} {:>7.0} {:>11.1}%\n",
+            "  {:<8} {:>6.0} {:>11.1}%\n",
             w,
             need("cpelide_fleet_worker_jobs", &labels)?,
-            need("cpelide_fleet_worker_stolen", &labels)?,
             need("cpelide_fleet_worker_utilization", &labels)? * 100.0,
         ));
     }

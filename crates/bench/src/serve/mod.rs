@@ -30,7 +30,7 @@ pub mod http;
 pub mod metrics;
 pub mod sched;
 
-use chiplet_harness::fleet::{self, ServicePool};
+use chiplet_harness::fleet;
 use chiplet_harness::json::Json;
 use chiplet_harness::trace::prom;
 use std::io::{BufReader, Read};
@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use client::SweepRequest;
 use http::{ChunkedWriter, DeadlineReader, HttpRequest, ReadError};
 use metrics::ServeMetrics;
-use sched::{lock, AdmitError, CellDone, CellStatus, Scheduler, SchedulerSource};
+use sched::{lock, AdmitError, CellDone, CellStatus, Scheduler};
 
 /// Most connections served at once; each holds a thread. A connection
 /// accepted past it is answered 503 and closed.
@@ -109,14 +109,14 @@ impl Drop for LiveConnection {
     }
 }
 
-/// A running daemon: the listener thread, the worker pool, and the
-/// shared scheduler. Obtain one with [`spawn`]; stop it with
+/// A running daemon: the listener thread, the scheduler's workers, and
+/// the shared scheduler. Obtain one with [`spawn`]; stop it with
 /// [`Server::shutdown`] or by letting a client `POST /v1/shutdown` and
 /// then calling [`Server::join`].
 pub struct Server {
     ctx: Arc<ServeCtx>,
     accept: std::thread::JoinHandle<()>,
-    pool: ServicePool,
+    workers: Vec<std::thread::JoinHandle<()>>,
     conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -152,7 +152,9 @@ impl Server {
     pub fn join(self) {
         let _ = self.accept.join();
         self.ctx.sched.shutdown();
-        self.pool.join();
+        for h in self.workers {
+            let _ = h.join();
+        }
         let handles = std::mem::take(&mut *lock(&self.conns));
         for h in handles {
             let _ = h.join();
@@ -160,8 +162,8 @@ impl Server {
     }
 }
 
-/// Binds, starts the worker pool and the accept loop, and returns the
-/// running server. The campaign `DiskCache` is taken from the usual
+/// Binds, starts the scheduler's workers and the accept loop, and returns
+/// the running server. The campaign `DiskCache` is taken from the usual
 /// environment (`CPELIDE_RESULTS_DIR`, `CPELIDE_CACHE=0` to disable), so
 /// a daemon and a batch campaign pointed at the same results dir share
 /// cached cells.
@@ -178,14 +180,11 @@ pub fn spawn(config: &ServeConfig) -> std::io::Result<Server> {
         crate::campaign::cache_from_env(),
         Arc::clone(&metrics),
     ));
-    let pool = ServicePool::start(
-        config.workers,
-        Arc::new(SchedulerSource(Arc::clone(&sched))),
-    );
+    let workers = sched.start_workers(config.workers);
     let ctx = Arc::new(ServeCtx {
         sched,
         metrics,
-        workers: pool.workers(),
+        workers: workers.len(),
         default_timeout: config.default_timeout,
         stopping: AtomicBool::new(false),
         addr,
@@ -223,7 +222,7 @@ pub fn spawn(config: &ServeConfig) -> std::io::Result<Server> {
     Ok(Server {
         ctx,
         accept,
-        pool,
+        workers,
         conns,
     })
 }

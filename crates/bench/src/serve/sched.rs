@@ -5,11 +5,17 @@
 //! The batch campaign owns its whole cell list up front and fans it out
 //! with `fleet::parallel_map`; a service receives cells one request at a
 //! time from clients that must not starve each other. The scheduler keeps
-//! one FIFO queue per client and hands workers cells round-robin across
-//! clients, so a client that submits 500 cells delays a one-cell client
-//! by at most the in-flight window. Admission is bounded: a request whose
-//! cells would push the total queued count past the bound is rejected
-//! whole (never partially admitted), which is the daemon's 429.
+//! one FIFO queue per client in a rotation: a worker takes the front
+//! client, runs one of its cells and sends the client to the back if it
+//! still has cells, so a client that submits 500 cells delays a one-cell
+//! client by at most the in-flight window. Admission is bounded: a request
+//! whose cells would push the total queued count past the bound is
+//! rejected whole (never partially admitted), which is the daemon's 429.
+//!
+//! The scheduler owns its workers ([`Scheduler::start_workers`]): each
+//! loops blocking on the rotation and runs one cell at a time under
+//! `fleet::run_caught`, so a panicking cell cannot kill it, until
+//! [`Scheduler::shutdown`].
 //!
 //! Delivery is per-request ordered commit: workers complete cells in any
 //! order into a slot buffer, and the connection thread drains slots in
@@ -25,11 +31,12 @@
 //! bound and never reaches a worker. Only the misses are queued.
 
 use crate::campaign::{execute_cell, CellSpec};
-use chiplet_harness::fleet::{self, DiskCache, JobSource, ServiceJob};
+use chiplet_harness::fleet::{self, DiskCache};
 use chiplet_harness::json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::metrics::ServeMetrics;
@@ -143,11 +150,10 @@ struct QueuedCell {
 }
 
 struct SchedState {
-    /// One FIFO per client, in first-seen order. A client's entry is
-    /// dropped once its queue drains, so idle clients leave the rotation.
-    queues: Vec<(String, VecDeque<QueuedCell>)>,
-    /// Round-robin position into `queues`.
-    cursor: usize,
+    /// One FIFO per client with queued cells, in turn order: the front
+    /// client is served next. A client's entry is dropped once its queue
+    /// drains, so idle clients leave the rotation.
+    queues: VecDeque<(String, VecDeque<QueuedCell>)>,
     /// Total queued (not yet running) cells, the admission quantity.
     /// Cells answered from the row memo at admission never count.
     queued: usize,
@@ -155,8 +161,8 @@ struct SchedState {
 }
 
 /// The multi-tenant cell scheduler. Shared between the HTTP connection
-/// threads (producers) and the persistent worker pool (consumer, via the
-/// [`JobSource`] impl).
+/// threads (producers) and the workers it starts itself (consumers, see
+/// [`Scheduler::start_workers`]).
 pub struct Scheduler {
     state: Mutex<SchedState>,
     /// Workers park here waiting for queued cells.
@@ -180,8 +186,7 @@ impl Scheduler {
     pub fn new(queue_bound: usize, cache: Option<DiskCache>, metrics: Arc<ServeMetrics>) -> Self {
         Scheduler {
             state: Mutex::new(SchedState {
-                queues: Vec::new(),
-                cursor: 0,
+                queues: VecDeque::new(),
                 queued: 0,
                 shutdown: false,
             }),
@@ -211,7 +216,7 @@ impl Scheduler {
 
     /// Admits a sweep: all of `specs` for `client`, or nothing. Cells
     /// whose rows are memoised resolve here, before the request is
-    /// returned; only the rest are queued for the worker pool, and only
+    /// returned; only the rest are queued for the workers, and only
     /// they count against the queue bound.
     ///
     /// # Errors
@@ -267,7 +272,7 @@ impl Scheduler {
         let queue = match st.queues.iter_mut().find(|(c, _)| c == client) {
             Some((_, q)) => q,
             None => {
-                st.queues.push((client.to_owned(), VecDeque::new()));
+                st.queues.push_back((client.to_owned(), VecDeque::new()));
                 let last = st.queues.len() - 1;
                 &mut st.queues[last].1
             }
@@ -306,33 +311,50 @@ impl Scheduler {
             .collect()
     }
 
-    /// Pops the next runnable cell, round-robin across client queues.
-    /// Returns `None` with the state lock released when there is nothing
-    /// queued (caller decides whether to wait).
-    fn pop_round_robin(st: &mut SchedState) -> Option<QueuedCell> {
-        if st.queues.is_empty() {
-            return None;
+    /// Starts `n` (at least 1) worker threads. Each blocks for the next
+    /// queued cell and runs it under `fleet::run_caught`, so a panicking
+    /// cell cannot take its worker down, and exits once
+    /// [`Scheduler::shutdown`] has been called and nothing is queued. The
+    /// caller joins the handles after that shutdown.
+    pub fn start_workers(self: &Arc<Self>, n: usize) -> Vec<JoinHandle<()>> {
+        (0..n.max(1))
+            .map(|_| {
+                let sched = Arc::clone(self);
+                std::thread::spawn(move || {
+                    while let Some(cell) = sched.next_cell() {
+                        let _ = fleet::run_caught(|| sched.run_cell(cell));
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Blocks until a cell is queued and claims it, marking its slot
+    /// running before the state lock is released (so a concurrent cancel
+    /// leaves it to complete normally). `None` once shut down.
+    fn next_cell(&self) -> Option<QueuedCell> {
+        let mut st = lock(&self.state);
+        loop {
+            if let Some(cell) = Self::pop_next(&mut st) {
+                lock(&cell.req.inner).slots[cell.index] = Slot::Running;
+                return Some(cell);
+            }
+            if st.shutdown {
+                return None;
+            }
+            st = self.work_cv.wait(st).unwrap_or_else(|p| p.into_inner());
         }
-        let n = st.queues.len();
-        for step in 0..n {
-            let i = (st.cursor + step) % n;
-            if let Some(cell) = st.queues[i].1.pop_front() {
+    }
+
+    /// Pops the front client's next cell and sends the client to the back
+    /// of the rotation if it still has cells queued.
+    fn pop_next(st: &mut SchedState) -> Option<QueuedCell> {
+        while let Some((client, mut queue)) = st.queues.pop_front() {
+            if let Some(cell) = queue.pop_front() {
                 st.queued -= 1;
-                // Advance past the client we just served; drained clients
-                // are swept out so they stop occupying rotation slots.
-                st.cursor = (i + 1) % n;
-                let before_cursor = st
-                    .queues
-                    .iter()
-                    .take(st.cursor)
-                    .filter(|(_, q)| q.is_empty())
-                    .count();
-                st.queues.retain(|(_, q)| !q.is_empty());
-                st.cursor = if st.queues.is_empty() {
-                    0
-                } else {
-                    (st.cursor - before_cursor) % st.queues.len()
-                };
+                if !queue.is_empty() {
+                    st.queues.push_back((client, queue));
+                }
                 return Some(cell);
             }
         }
@@ -410,16 +432,7 @@ impl Scheduler {
             removed += before - queue.len();
         }
         st.queued -= removed;
-        // Keep the cursor in range after sweeping drained queues.
-        let n_before = st.queues.len();
         st.queues.retain(|(_, q)| !q.is_empty());
-        if st.queues.len() != n_before {
-            st.cursor = if st.queues.is_empty() {
-                0
-            } else {
-                st.cursor % st.queues.len()
-            };
-        }
         drop(st);
         let mut inner = lock(&req.inner);
         if !inner.cancelled {
@@ -481,7 +494,7 @@ impl Scheduler {
         }
     }
 
-    /// Stops admission and tells the worker pool to exit: queued cells of
+    /// Stops admission and tells the workers to exit: queued cells of
     /// every request are cancelled (their readers see cancelled slots),
     /// running cells finish first.
     pub fn shutdown(&self) {
@@ -500,36 +513,8 @@ impl Scheduler {
     }
 }
 
-/// The worker pool pulls cells from the scheduler through this adapter:
-/// blocking round-robin pop, `None` once shut down.
-pub struct SchedulerSource(pub Arc<Scheduler>);
-
-impl JobSource for SchedulerSource {
-    fn next_job(&self) -> Option<ServiceJob> {
-        let sched = Arc::clone(&self.0);
-        let mut st = lock(&sched.state);
-        loop {
-            if let Some(cell) = Scheduler::pop_round_robin(&mut st) {
-                // Mark the slot running before releasing the state lock,
-                // so a concurrent cancel leaves it to complete normally.
-                {
-                    let mut inner = lock(&cell.req.inner);
-                    inner.slots[cell.index] = Slot::Running;
-                }
-                drop(st);
-                let sched = Arc::clone(&self.0);
-                return Some(Box::new(move || sched.run_cell(cell)));
-            }
-            if st.shutdown {
-                return None;
-            }
-            st = sched.work_cv.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-}
-
-/// Poison-tolerant lock (same rationale as the fleet's: state is only
-/// ever a committed value between panics contained elsewhere).
+/// Poison-tolerant lock: cells run under `fleet::run_caught`, so state is
+/// only ever a committed value between panics contained elsewhere.
 pub(super) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -539,7 +524,6 @@ mod tests {
     use super::*;
     use crate::campaign::SuiteTag;
     use chiplet_coherence::ProtocolKind;
-    use chiplet_harness::fleet::ServicePool;
     use chiplet_sim::Cell;
 
     fn spec(workload: &str, chiplets: usize) -> Arc<CellSpec> {
@@ -558,19 +542,27 @@ mod tests {
     }
 
     /// A scheduler over a fresh disk cache in `dir`, with one worker.
-    fn cached_sched(dir: &std::path::Path) -> (Arc<Scheduler>, ServicePool) {
+    fn cached_sched(dir: &std::path::Path) -> (Arc<Scheduler>, Vec<JoinHandle<()>>) {
         let _ = std::fs::remove_dir_all(dir);
         let s = Arc::new(Scheduler::new(
             16,
             Some(DiskCache::new(dir)),
             Arc::new(ServeMetrics::new()),
         ));
-        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
-        (s, pool)
+        let workers = s.start_workers(1);
+        (s, workers)
+    }
+
+    /// Shuts `s` down and joins its workers.
+    fn stop(s: &Scheduler, workers: Vec<JoinHandle<()>>) {
+        s.shutdown();
+        for w in workers {
+            w.join().expect("a worker survives every cell");
+        }
     }
 
     /// A scheduler admitting at most `bound` queued cells, over a disk
-    /// cache in `dir` (emptied first), with no worker pool and a memo
+    /// cache in `dir` (emptied first), with no workers and a memo
     /// holding [`memo_row`] for each of `hits`.
     fn memo_sched(dir: &std::path::Path, bound: usize, hits: &[&Arc<CellSpec>]) -> Arc<Scheduler> {
         let _ = std::fs::remove_dir_all(dir);
@@ -639,7 +631,7 @@ mod tests {
         let small = s
             .submit("small", vec![spec("square", 1)], None)
             .expect("admit small");
-        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
+        let workers = s.start_workers(1);
         let small_done = s.wait_cell(&small, 0);
         let big_last = s.wait_cell(&big, 3);
         assert!(
@@ -649,8 +641,34 @@ mod tests {
             small_done.seq,
             big_last.seq
         );
-        s.shutdown();
-        pool.join();
+        stop(&s, workers);
+    }
+
+    #[test]
+    fn cancel_keeps_the_next_clients_turn() {
+        // Clients a, b and c each queue two cells; cells are popped here
+        // as a worker would, with no worker running.
+        let s = sched(64);
+        let reqs: Vec<(&str, Arc<Request>)> = ["a", "b", "c"]
+            .into_iter()
+            .map(|c| {
+                let cells = vec![spec("square", 1), spec("square", 2)];
+                (c, s.submit(c, cells, None).expect("admitted"))
+            })
+            .collect();
+        let next_client = || {
+            let cell = Scheduler::pop_next(&mut lock(&s.state)).expect("a cell is queued");
+            reqs.iter()
+                .find(|(_, req)| Arc::ptr_eq(req, &cell.req))
+                .map(|(c, _)| *c)
+                .expect("a submitted request")
+        };
+        assert_eq!(next_client(), "a");
+        assert_eq!(next_client(), "b");
+        // Cancelling a drops its emptied queue; c's turn comes next.
+        s.cancel(&reqs[0].1);
+        assert_eq!(next_client(), "c");
+        assert_eq!(next_client(), "b");
     }
 
     #[test]
@@ -675,13 +693,12 @@ mod tests {
     #[test]
     fn shutdown_drains_workers_and_refuses_new_requests() {
         let s = sched(16);
-        let pool = ServicePool::start(2, Arc::new(SchedulerSource(Arc::clone(&s))));
+        let workers = s.start_workers(2);
         let req = s
             .submit("x", vec![spec("square", 1)], None)
             .expect("admitted");
         assert_eq!(s.wait_cell(&req, 0).status, CellStatus::Ok);
-        s.shutdown();
-        pool.join();
+        stop(&s, workers);
         assert!(matches!(
             s.submit("x", vec![spec("square", 1)], None),
             Err(AdmitError::ShuttingDown)
@@ -693,7 +710,7 @@ mod tests {
         // A panicking cell must produce a failed row, not kill the worker:
         // chiplets=0 makes SimConfig::table1 assert inside execute_cell.
         let s = sched(16);
-        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
+        let workers = s.start_workers(1);
         let bad = spec("square", 0);
         let req = s
             .submit("x", vec![bad, spec("square", 1)], None)
@@ -704,14 +721,13 @@ mod tests {
         let row = chiplet_harness::json::parse(&first.row).expect("failed row is JSON");
         assert_eq!(row.get("failed").and_then(Json::as_bool), Some(true));
         assert_eq!(second.status, CellStatus::Ok, "worker survived the panic");
-        s.shutdown();
-        pool.join();
+        stop(&s, workers);
     }
 
     #[test]
     fn a_repeated_cell_is_served_from_the_row_memo() {
         let dir = tmp("memo");
-        let (s, pool) = cached_sched(&dir);
+        let (s, workers) = cached_sched(&dir);
         let first = run_one(&s, spec("square", 1));
         assert_eq!(first.status, CellStatus::Ok);
         assert!(!first.cached, "a fresh cache simulates the cell");
@@ -730,27 +746,25 @@ mod tests {
         assert_eq!(s.metrics.cells_total(), 2);
         assert_eq!(s.metrics.cache_hits_total(), 1);
         assert!(!dir.exists(), "a memo hit does not touch the disk cache");
-        s.shutdown();
-        pool.join();
+        stop(&s, workers);
     }
 
     #[test]
     fn without_a_disk_cache_every_cell_is_simulated() {
         let s = sched(16);
-        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
+        let workers = s.start_workers(1);
         let first = run_one(&s, spec("square", 1));
         let again = run_one(&s, spec("square", 1));
         assert!(!first.cached && !again.cached, "CPELIDE_CACHE=0 simulates");
         assert_eq!(again.row, first.row);
         assert!(lock(&s.rows).is_empty(), "nothing memoised without a cache");
-        s.shutdown();
-        pool.join();
+        stop(&s, workers);
     }
 
     #[test]
     fn failed_cells_are_never_memoised() {
         let dir = tmp("memo-failed");
-        let (s, pool) = cached_sched(&dir);
+        let (s, workers) = cached_sched(&dir);
         for _ in 0..2 {
             let bad = run_one(&s, spec("square", 0));
             assert_eq!(bad.status, CellStatus::Failed);
@@ -759,8 +773,7 @@ mod tests {
         assert!(lock(&s.rows).is_empty(), "a failed cell left a memo entry");
         assert_eq!(run_one(&s, spec("square", 1)).status, CellStatus::Ok);
         assert_eq!(lock(&s.rows).len(), 1, "only the ok cell is memoised");
-        s.shutdown();
-        pool.join();
+        stop(&s, workers);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -769,7 +782,7 @@ mod tests {
         let dir = tmp("admit-hits");
         let cells = [spec("square", 1), spec("square", 2), spec("square", 3)];
         let s = memo_sched(&dir, 16, &cells.iter().collect::<Vec<_>>());
-        // No ServicePool: only admission can resolve these slots.
+        // No workers: only admission can resolve these slots.
         let req = s.submit("t", cells.to_vec(), None).expect("admitted");
         for (index, cell) in cells.iter().enumerate() {
             let done = s.try_cell(&req, index).expect("resolved at admission");
@@ -815,7 +828,7 @@ mod tests {
         assert!(matches!(err, AdmitError::Backpressure(1, 2, 2)), "{err}");
         let resolved: Vec<bool> = (0..4).map(|i| s.try_cell(&req, i).is_some()).collect();
         assert_eq!(resolved, [true, false, true, false]);
-        let pool = ServicePool::start(1, Arc::new(SchedulerSource(Arc::clone(&s))));
+        let workers = s.start_workers(1);
         let done: Vec<CellDone> = (0..4).map(|i| s.wait_cell(&req, i)).collect();
         for (index, (cell, done)) in cells.iter().zip(&done).enumerate() {
             assert_eq!(done.status, CellStatus::Ok, "cell {index}");
@@ -836,8 +849,7 @@ mod tests {
             done[2].seq < done[1].seq,
             "hits are stamped at admission, before any miss completes"
         );
-        s.shutdown();
-        pool.join();
+        stop(&s, workers);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

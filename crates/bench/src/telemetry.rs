@@ -10,14 +10,15 @@
 //!   prefix of `campaign.prom` up to [`NONDET_MARKER`] across worker
 //!   counts.
 //! * **Wall-clock section** — everything below the marker: worker
-//!   utilization, steal counts, host job latencies, queue depths. Honest
+//!   utilization, per-worker job counts, host job latencies, queue
+//!   depths (unclaimed jobs at each claim). Honest
 //!   measurements of this machine, this run; never compared, never fed
 //!   into reports that must reproduce.
 //!
 //! The fleet trace ([`host_trace`]) is the same telemetry as a timeline:
 //! one `pid 0` process ("campaign fleet"), one `tid` per worker, an `X`
-//! span per cell labelled `workload:protocol:chiplets`, `cache_hit`
-//! instants, and a cumulative `steals` counter track. Its JSON is stamped
+//! span per cell labelled `workload:protocol:chiplets`, and `cache_hit`
+//! instants. Its JSON is stamped
 //! `clockDomain: "wall"` so it can never be confused with the simulator's
 //! deterministic traces.
 
@@ -116,12 +117,6 @@ pub fn campaign_prom(outcome: &CampaignOutcome) -> String {
         "",
         t.elapsed_us,
     );
-    out.counter(
-        "cpelide_fleet_jobs_stolen_total",
-        "jobs that ran on a worker other than the one they were striped to",
-        "",
-        t.stolen_total(),
-    );
     for (w, wt) in t.per_worker.iter().enumerate() {
         let labels = format!("worker=\"{w}\"");
         out.gauge(
@@ -129,12 +124,6 @@ pub fn campaign_prom(outcome: &CampaignOutcome) -> String {
             "jobs executed per worker",
             &labels,
             wt.executed,
-        );
-        out.gauge(
-            "cpelide_fleet_worker_stolen",
-            "stolen jobs per worker",
-            &labels,
-            wt.stolen,
         );
         out.gauge(
             "cpelide_fleet_worker_utilization",
@@ -152,7 +141,7 @@ pub fn campaign_prom(outcome: &CampaignOutcome) -> String {
     t.queue_depth.prometheus_text(
         "cpelide_fleet",
         "",
-        "own-deque depth observed before each pop",
+        "unclaimed jobs observed at each claim",
         &mut out,
     );
     out.finish()
@@ -173,8 +162,8 @@ pub fn deterministic_prefix(prom: &str) -> &str {
 }
 
 /// Builds the host-side fleet timeline from the campaign's per-job
-/// execution log: worker lanes, one span per cell, cache-hit instants and
-/// a cumulative steal counter, all stamped in wall microseconds.
+/// execution log: worker lanes, one span per cell and cache-hit instants,
+/// all stamped in wall microseconds.
 pub fn host_trace(specs: &[CellSpec], outcome: &CampaignOutcome) -> Tracer {
     let t = &outcome.telemetry;
     let mut tr = Tracer::new_wall();
@@ -182,14 +171,7 @@ pub fn host_trace(specs: &[CellSpec], outcome: &CampaignOutcome) -> Tracer {
     for w in 0..t.workers {
         tr.name_thread(0, w as u32, format!("worker {w}"));
     }
-    // Seed the counter track at t=0 so it exists even on steal-free runs.
-    tr.counter("steals", "fleet", 0.0, 0, vec![("stolen", 0.0)]);
-
-    let mut stolen_so_far = 0.0f64;
-    let mut by_start: Vec<usize> = (0..t.jobs_log.len()).collect();
-    by_start.sort_by_key(|&i| t.jobs_log[i].start_us);
-    for i in by_start {
-        let rec = t.jobs_log[i];
+    for rec in &t.jobs_log {
         let label = specs
             .get(rec.index)
             .map(CellSpec::id)
@@ -201,10 +183,7 @@ pub fn host_trace(specs: &[CellSpec], outcome: &CampaignOutcome) -> Tracer {
             rec.dur_us as f64,
             0,
             rec.worker as u32,
-            vec![
-                ("index", rec.index as f64),
-                ("stolen", f64::from(u8::from(rec.stolen))),
-            ],
+            vec![("index", rec.index as f64)],
         );
         if outcome.cell_cached.get(rec.index).copied().unwrap_or(false) {
             tr.instant(
@@ -214,16 +193,6 @@ pub fn host_trace(specs: &[CellSpec], outcome: &CampaignOutcome) -> Tracer {
                 0,
                 rec.worker as u32,
                 vec![("index", rec.index as f64)],
-            );
-        }
-        if rec.stolen {
-            stolen_so_far += 1.0;
-            tr.counter(
-                "steals",
-                "fleet",
-                rec.start_us as f64,
-                0,
-                vec![("stolen", stolen_so_far)],
             );
         }
     }
@@ -296,12 +265,6 @@ mod tests {
         chiplet_harness::json::parse(&json).unwrap_or_else(|e| panic!("{e}"));
         assert!(json.contains("\"clockDomain\":\"wall\""));
         assert!(json.contains("worker 0"));
-        assert!(
-            tr.events()
-                .iter()
-                .any(|e| e.name == "steals" && e.cat == "fleet"),
-            "steal counter track missing"
-        );
     }
 
     #[test]

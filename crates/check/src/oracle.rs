@@ -62,7 +62,6 @@
 
 use crate::footprint::IntervalSet;
 use chiplet_coherence::ProtocolKind;
-use chiplet_gpu::dispatch::{DispatchPlan, StaticPartitionScheduler};
 use chiplet_gpu::kernel::{KernelSpec, TouchKind};
 use chiplet_gpu::stream::SoftwareQueue;
 use chiplet_gpu::trace::line_footprint;
@@ -70,7 +69,7 @@ use chiplet_harness::fleet;
 use chiplet_harness::json::Json;
 use chiplet_mem::addr::ChipletId;
 use chiplet_sim::config::SimConfig;
-use chiplet_sim::engine::{effective_binding, Simulator};
+use chiplet_sim::engine::{plan_round, Simulator};
 use chiplet_sim::event::SimEvent;
 use chiplet_workloads::Workload;
 use std::sync::Arc;
@@ -303,29 +302,25 @@ impl OracleState {
     }
 }
 
-/// Builds the per-round footprints of `workload` on `n` chiplets,
-/// mirroring the engine's dispatch exactly: the same [`SoftwareQueue`]
-/// round construction, the same binding clamp
-/// ([`chiplet_sim::engine::effective_binding`]), and the same zero-WG
-/// chiplet dropping inside [`StaticPartitionScheduler::plan`].
+/// Builds the per-round footprints of `workload` on `n` chiplets from
+/// the engine's own round planner ([`plan_round`]), so the oracle sees
+/// exactly the engine's dispatch: its rounds, its binding clamp and its
+/// zero-WG chiplet dropping.
 fn build_rounds(workload: &Workload, n: usize) -> Vec<RoundFp> {
     let mut queue = SoftwareQueue::new();
     for l in workload.launches() {
         queue.enqueue(l.stream, l.spec.clone(), l.binding.clone());
     }
     let all: Vec<ChipletId> = ChipletId::all(n).collect();
-    let scheduler = StaticPartitionScheduler::new();
     let arrays = workload.arrays();
     let index_of = |id: chiplet_mem::array::ArrayId| id.get() as usize;
 
     let mut rounds = Vec::new();
     while !queue.is_empty() {
-        let round = queue.next_round();
+        let round = plan_round(&mut queue, &all);
         let mut launches: Vec<LaunchFp> = Vec::new();
         let kernels = round.len();
-        for packet in round {
-            let chiplets = effective_binding(&packet, &all, n);
-            let plan: DispatchPlan = scheduler.plan(&packet.spec, &chiplets);
+        for (packet, plan) in round {
             let width = plan.width();
             for (slot, chiplet) in plan.chiplets().enumerate() {
                 let mut accesses = Vec::with_capacity(packet.spec.arrays().len());

@@ -12,10 +12,12 @@
 //! [`json`] is the tiny writer/parser the other modules share.
 //!
 //! [`fleet`] is the host-side fan-out layer: a deterministic
-//! work-stealing `parallel_map` with ordered result commit, plus the
-//! content-hash [`fleet::Fingerprint`] and [`fleet::DiskCache`] that back
-//! the campaign runner's incremental sweeps. Only this crate spawns
-//! threads — simulation-path crates stay thread-free by lint.
+//! `parallel_map` whose workers share one claim cursor and commit results
+//! in submission order, plus the content-hash [`fleet::Fingerprint`] and
+//! [`fleet::DiskCache`] that back the campaign runner's incremental
+//! sweeps. Threads are a host-side matter — this pool and the campaign
+//! daemon spawn them — while the simulation-path crates stay thread-free
+//! by lint (`sim-thread` in `chiplet-check`).
 //!
 //! The tracing subsystem — the Perfetto timeline [`trace::Tracer`],
 //! the CCT [`trace::TransitionAuditor`], and log2 [`trace::Histogram`]

@@ -270,7 +270,7 @@ fn tag_overflow(line: LineAddr, sets: u64) -> ! {
 /// # Example
 ///
 /// ```
-/// use chiplet_mem::cache::{CacheGeometry, SetAssocCache, WritePolicy};
+/// use chiplet_mem::cache::{CacheCore, CacheGeometry, SetAssocCache, WritePolicy};
 /// use chiplet_mem::addr::LineAddr;
 ///
 /// let geom = CacheGeometry::new(4096, 64, 2)?; // 32 sets x 2 ways
@@ -314,85 +314,6 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache whose set blocks are 16 ways wide for up to
-    /// 16 ways and 32 otherwise, with `u16` tags until a fill needs more.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry's associativity exceeds 32, the width of the
-    /// widest set block. Every Table I geometry is 32-way (L2) or 16-way (L3);
-    /// use [`ScanCache`](super::ScanCache) for wider experiments.
-    pub fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
-        let ways = geom.ways() as usize;
-        assert!(
-            ways <= MAX_WAYS,
-            "SetAssocCache supports at most {MAX_WAYS} ways; got {ways}"
-        );
-        let slots = geom.total_lines() as usize;
-        let words = slots.div_ceil(64);
-        let sets = geom.sets();
-        let pow2 = sets.is_power_of_two();
-        let n = sets as usize;
-        let blocks = if ways <= 16 {
-            Blocks::Narrow16(vec![SetBlock::EMPTY; n])
-        } else {
-            Blocks::Narrow32(vec![SetBlock::EMPTY; n])
-        };
-        SetAssocCache {
-            geom,
-            policy,
-            set_mask: if pow2 { sets - 1 } else { u64::MAX },
-            set_shift: if pow2 { sets.trailing_zeros() } else { 0 },
-            ways,
-            full: if ways == MAX_WAYS {
-                u32::MAX
-            } else {
-                (1 << ways) - 1
-            },
-            tag_limit: u32::from(u16::MAX),
-            sets: blocks,
-            dirty_words: vec![0; words],
-            dirty_word_epoch: vec![0; words],
-            pending: Vec::new(),
-            queued_gen: vec![0; words],
-            epoch: 1,
-            drain_gen: 1,
-            valid_count: 0,
-            dirty_count: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The cache's geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
-    /// The cache's write policy.
-    pub fn policy(&self) -> WritePolicy {
-        self.policy
-    }
-
-    /// Number of valid lines currently resident.
-    pub fn valid_lines(&self) -> u64 {
-        self.valid_count
-    }
-
-    /// Number of dirty lines currently resident.
-    pub fn dirty_lines(&self) -> u64 {
-        self.dirty_count
-    }
-
-    /// Event counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Resets the event counters (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// The line's set and set-relative tag.
     ///
     /// # Panics
@@ -472,16 +393,6 @@ impl SetAssocCache {
         }
     }
 
-    /// True if the line is resident (does not update LRU or stats).
-    pub fn probe(&self, line: LineAddr) -> bool {
-        self.find_way(line).is_some()
-    }
-
-    /// True if the line is resident and dirty.
-    pub fn probe_dirty(&self, line: LineAddr) -> bool {
-        self.find_way(line).is_some_and(|i| self.dirty_bit(i))
-    }
-
     /// Way slot holding `line`, if resident.
     #[inline]
     fn find_way(&self, line: LineAddr) -> Option<usize> {
@@ -551,10 +462,92 @@ impl SetAssocCache {
             clean_eviction,
         }
     }
+}
 
-    /// Performs a read access.
+impl CacheCore for SetAssocCache {
+    /// Creates an empty cache whose set blocks are 16 ways wide for up to
+    /// 16 ways and 32 otherwise, with `u16` tags until a fill needs more.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's associativity exceeds 32, the width of the
+    /// widest set block. Every Table I geometry is 32-way (L2) or 16-way (L3);
+    /// use [`ScanCache`](super::ScanCache) for wider experiments.
+    fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
+        let ways = geom.ways() as usize;
+        assert!(
+            ways <= MAX_WAYS,
+            "SetAssocCache supports at most {MAX_WAYS} ways; got {ways}"
+        );
+        let slots = geom.total_lines() as usize;
+        let words = slots.div_ceil(64);
+        let sets = geom.sets();
+        let pow2 = sets.is_power_of_two();
+        let n = sets as usize;
+        let blocks = if ways <= 16 {
+            Blocks::Narrow16(vec![SetBlock::EMPTY; n])
+        } else {
+            Blocks::Narrow32(vec![SetBlock::EMPTY; n])
+        };
+        SetAssocCache {
+            geom,
+            policy,
+            set_mask: if pow2 { sets - 1 } else { u64::MAX },
+            set_shift: if pow2 { sets.trailing_zeros() } else { 0 },
+            ways,
+            full: if ways == MAX_WAYS {
+                u32::MAX
+            } else {
+                (1 << ways) - 1
+            },
+            tag_limit: u32::from(u16::MAX),
+            sets: blocks,
+            dirty_words: vec![0; words],
+            dirty_word_epoch: vec![0; words],
+            pending: Vec::new(),
+            queued_gen: vec![0; words],
+            epoch: 1,
+            drain_gen: 1,
+            valid_count: 0,
+            dirty_count: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn geometry(&self) -> CacheGeometry {
+        self.geom
+    }
+
+    fn policy(&self) -> WritePolicy {
+        self.policy
+    }
+
+    fn valid_lines(&self) -> u64 {
+        self.valid_count
+    }
+
+    fn dirty_lines(&self) -> u64 {
+        self.dirty_count
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
+    }
+
+    fn probe(&self, line: LineAddr) -> bool {
+        self.find_way(line).is_some()
+    }
+
+    fn probe_dirty(&self, line: LineAddr) -> bool {
+        self.find_way(line).is_some_and(|i| self.dirty_bit(i))
+    }
+
     #[inline(always)]
-    pub fn read(&mut self, line: LineAddr) -> AccessOutcome {
+    fn read(&mut self, line: LineAddr) -> AccessOutcome {
         self.stats.reads += 1;
         let out = self.touch(line, false);
         if out.hit {
@@ -563,11 +556,8 @@ impl SetAssocCache {
         out
     }
 
-    /// Performs a write access. Under [`WritePolicy::WriteBack`] the line
-    /// becomes dirty; under [`WritePolicy::WriteThrough`] it is allocated
-    /// clean (the store is propagated downstream by the caller).
     #[inline(always)]
-    pub fn write(&mut self, line: LineAddr) -> AccessOutcome {
+    fn write(&mut self, line: LineAddr) -> AccessOutcome {
         self.stats.writes += 1;
         let out = self.touch(line, true);
         if out.hit {
@@ -576,9 +566,8 @@ impl SetAssocCache {
         out
     }
 
-    /// Writes back every dirty line (an implicit *release*). Lines remain
-    /// valid but clean. Visits only words dirtied since the last drain.
-    pub fn flush_dirty(&mut self) -> FlushOutcome {
+    /// Visits only the words dirtied since the last drain.
+    fn flush_dirty(&mut self) -> FlushOutcome {
         let flushed = self.dirty_count;
         for k in 0..self.pending.len() {
             let w = self.pending[k] as usize;
@@ -595,8 +584,8 @@ impl SetAssocCache {
         }
     }
 
-    /// Drops every line (an implicit *acquire*) in O(1) via an epoch bump.
-    pub fn invalidate_all(&mut self) -> InvalidateOutcome {
+    /// Drops every line in O(1) via an epoch bump.
+    fn invalidate_all(&mut self) -> InvalidateOutcome {
         let invalidated = self.valid_count;
         let dirty = self.dirty_count;
         if self.epoch == u32::MAX {
@@ -617,12 +606,10 @@ impl SetAssocCache {
         }
     }
 
-    /// Writes back every dirty line like [`flush_dirty`](Self::flush_dirty),
-    /// additionally returning the flushed line addresses. Pending words are
-    /// sorted and their bits walked with `trailing_zeros`, so lines come
-    /// out in ascending way-index order — byte-identical to the reference
-    /// scan's order.
-    pub fn flush_dirty_lines(&mut self) -> Vec<LineAddr> {
+    /// Pending words are sorted and their bits walked with
+    /// `trailing_zeros`, so lines come out in ascending way-index order —
+    /// byte-identical to the reference scan's order.
+    fn flush_dirty_lines(&mut self) -> Vec<LineAddr> {
         let mut lines = Vec::with_capacity(self.dirty_count as usize);
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_unstable();
@@ -655,9 +642,7 @@ impl SetAssocCache {
         lines
     }
 
-    /// Drops one line if present. Returns `Some(was_dirty)` if it was
-    /// resident. Used by the HMG directory when a sharer must be invalidated.
-    pub fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
+    fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
         let i = self.find_way(line)?;
         let was_dirty = self.dirty_bit(i);
         // A found way implies its set is stamped into the current epoch.
@@ -672,9 +657,7 @@ impl SetAssocCache {
         Some(was_dirty)
     }
 
-    /// Writes back one line if present and dirty; the line stays valid.
-    /// Returns true if a writeback occurred.
-    pub fn flush_line(&mut self, line: LineAddr) -> bool {
+    fn flush_line(&mut self, line: LineAddr) -> bool {
         match self.find_way(line) {
             Some(i) if self.dirty_bit(i) => {
                 self.clear_dirty_bit(i);
@@ -684,59 +667,6 @@ impl SetAssocCache {
             }
             _ => false,
         }
-    }
-}
-
-impl CacheCore for SetAssocCache {
-    fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
-        SetAssocCache::new(geom, policy)
-    }
-    fn geometry(&self) -> CacheGeometry {
-        self.geometry()
-    }
-    fn policy(&self) -> WritePolicy {
-        self.policy()
-    }
-    fn valid_lines(&self) -> u64 {
-        self.valid_lines()
-    }
-    fn dirty_lines(&self) -> u64 {
-        self.dirty_lines()
-    }
-    fn stats(&self) -> CacheStats {
-        self.stats()
-    }
-    fn reset_stats(&mut self) {
-        self.reset_stats();
-    }
-    fn probe(&self, line: LineAddr) -> bool {
-        self.probe(line)
-    }
-    fn probe_dirty(&self, line: LineAddr) -> bool {
-        self.probe_dirty(line)
-    }
-    #[inline(always)]
-    fn read(&mut self, line: LineAddr) -> AccessOutcome {
-        self.read(line)
-    }
-    #[inline(always)]
-    fn write(&mut self, line: LineAddr) -> AccessOutcome {
-        self.write(line)
-    }
-    fn flush_dirty(&mut self) -> FlushOutcome {
-        self.flush_dirty()
-    }
-    fn invalidate_all(&mut self) -> InvalidateOutcome {
-        self.invalidate_all()
-    }
-    fn flush_dirty_lines(&mut self) -> Vec<LineAddr> {
-        self.flush_dirty_lines()
-    }
-    fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
-        self.invalidate_line(line)
-    }
-    fn flush_line(&mut self, line: LineAddr) -> bool {
-        self.flush_line(line)
     }
 }
 

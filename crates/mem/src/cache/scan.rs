@@ -41,7 +41,7 @@ const EMPTY_WAY: Way = Way {
 /// # Example
 ///
 /// ```
-/// use chiplet_mem::cache::{CacheGeometry, ScanCache, WritePolicy};
+/// use chiplet_mem::cache::{CacheCore, CacheGeometry, ScanCache, WritePolicy};
 /// use chiplet_mem::addr::LineAddr;
 ///
 /// let geom = CacheGeometry::new(4096, 64, 2)?; // 32 sets x 2 ways
@@ -62,67 +62,10 @@ pub struct ScanCache {
 }
 
 impl ScanCache {
-    /// Creates an empty cache.
-    pub fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
-        ScanCache {
-            geom,
-            policy,
-            ways: vec![EMPTY_WAY; geom.total_lines() as usize],
-            tick: 0,
-            valid_count: 0,
-            dirty_count: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The cache's geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
-    /// The cache's write policy.
-    pub fn policy(&self) -> WritePolicy {
-        self.policy
-    }
-
-    /// Number of valid lines currently resident.
-    pub fn valid_lines(&self) -> u64 {
-        self.valid_count
-    }
-
-    /// Number of dirty lines currently resident.
-    pub fn dirty_lines(&self) -> u64 {
-        self.dirty_count
-    }
-
-    /// Event counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Resets the event counters (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_slice(&self, line: LineAddr) -> std::ops::Range<usize> {
         let set = (line.get() % self.geom.sets()) as usize;
         let w = self.geom.ways() as usize;
         set * w..(set + 1) * w
-    }
-
-    /// True if the line is resident (does not update LRU or stats).
-    pub fn probe(&self, line: LineAddr) -> bool {
-        self.ways[self.set_slice(line)]
-            .iter()
-            .any(|w| w.valid && w.tag == line.get())
-    }
-
-    /// True if the line is resident and dirty.
-    pub fn probe_dirty(&self, line: LineAddr) -> bool {
-        self.ways[self.set_slice(line)]
-            .iter()
-            .any(|w| w.valid && w.dirty && w.tag == line.get())
     }
 
     fn touch(&mut self, line: LineAddr, write: bool) -> AccessOutcome {
@@ -185,9 +128,58 @@ impl ScanCache {
             clean_eviction,
         }
     }
+}
 
-    /// Performs a read access.
-    pub fn read(&mut self, line: LineAddr) -> AccessOutcome {
+impl CacheCore for ScanCache {
+    fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
+        ScanCache {
+            geom,
+            policy,
+            ways: vec![EMPTY_WAY; geom.total_lines() as usize],
+            tick: 0,
+            valid_count: 0,
+            dirty_count: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn geometry(&self) -> CacheGeometry {
+        self.geom
+    }
+
+    fn policy(&self) -> WritePolicy {
+        self.policy
+    }
+
+    fn valid_lines(&self) -> u64 {
+        self.valid_count
+    }
+
+    fn dirty_lines(&self) -> u64 {
+        self.dirty_count
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
+    }
+
+    fn probe(&self, line: LineAddr) -> bool {
+        self.ways[self.set_slice(line)]
+            .iter()
+            .any(|w| w.valid && w.tag == line.get())
+    }
+
+    fn probe_dirty(&self, line: LineAddr) -> bool {
+        self.ways[self.set_slice(line)]
+            .iter()
+            .any(|w| w.valid && w.dirty && w.tag == line.get())
+    }
+
+    fn read(&mut self, line: LineAddr) -> AccessOutcome {
         self.stats.reads += 1;
         let out = self.touch(line, false);
         if out.hit {
@@ -196,10 +188,7 @@ impl ScanCache {
         out
     }
 
-    /// Performs a write access. Under [`WritePolicy::WriteBack`] the line
-    /// becomes dirty; under [`WritePolicy::WriteThrough`] it is allocated
-    /// clean (the store is propagated downstream by the caller).
-    pub fn write(&mut self, line: LineAddr) -> AccessOutcome {
+    fn write(&mut self, line: LineAddr) -> AccessOutcome {
         self.stats.writes += 1;
         let out = self.touch(line, true);
         if out.hit {
@@ -208,10 +197,9 @@ impl ScanCache {
         out
     }
 
-    /// Writes back every dirty line (an implicit *release*). Lines remain
-    /// valid but clean, matching the baseline protocol's behaviour of
-    /// retaining a clean copy after a full-line writeback.
-    pub fn flush_dirty(&mut self) -> FlushOutcome {
+    /// Lines remain valid but clean, matching the baseline protocol's
+    /// behaviour of retaining a clean copy after a full-line writeback.
+    fn flush_dirty(&mut self) -> FlushOutcome {
         let mut flushed = 0;
         for w in &mut self.ways {
             if w.valid && w.dirty {
@@ -227,8 +215,7 @@ impl ScanCache {
         }
     }
 
-    /// Drops every line (an implicit *acquire*).
-    pub fn invalidate_all(&mut self) -> InvalidateOutcome {
+    fn invalidate_all(&mut self) -> InvalidateOutcome {
         let mut invalidated = 0;
         let mut dirty = 0;
         for w in &mut self.ways {
@@ -251,12 +238,9 @@ impl ScanCache {
         }
     }
 
-    /// Writes back every dirty line like [`flush_dirty`](Self::flush_dirty),
-    /// additionally returning the flushed line addresses so the caller can
-    /// route each writeback to its home node. Lines are reported in
-    /// ascending way-index order (the scan order) — the order contract the
-    /// event-driven core must reproduce.
-    pub fn flush_dirty_lines(&mut self) -> Vec<LineAddr> {
+    /// Lines are reported in ascending way-index order (the scan order) —
+    /// the order contract the event-driven core must reproduce.
+    fn flush_dirty_lines(&mut self) -> Vec<LineAddr> {
         let mut lines = Vec::with_capacity(self.dirty_count as usize);
         for w in &mut self.ways {
             if w.valid && w.dirty {
@@ -270,9 +254,7 @@ impl ScanCache {
         lines
     }
 
-    /// Drops one line if present. Returns `Some(was_dirty)` if it was
-    /// resident. Used by the HMG directory when a sharer must be invalidated.
-    pub fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
+    fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
         let range = self.set_slice(line);
         let w = self.ways[range]
             .iter_mut()
@@ -288,9 +270,7 @@ impl ScanCache {
         Some(was_dirty)
     }
 
-    /// Writes back one line if present and dirty; the line stays valid.
-    /// Returns true if a writeback occurred.
-    pub fn flush_line(&mut self, line: LineAddr) -> bool {
+    fn flush_line(&mut self, line: LineAddr) -> bool {
         let range = self.set_slice(line);
         if let Some(w) = self.ways[range]
             .iter_mut()
@@ -303,57 +283,6 @@ impl ScanCache {
         } else {
             false
         }
-    }
-}
-
-impl CacheCore for ScanCache {
-    fn new(geom: CacheGeometry, policy: WritePolicy) -> Self {
-        ScanCache::new(geom, policy)
-    }
-    fn geometry(&self) -> CacheGeometry {
-        self.geometry()
-    }
-    fn policy(&self) -> WritePolicy {
-        self.policy()
-    }
-    fn valid_lines(&self) -> u64 {
-        self.valid_lines()
-    }
-    fn dirty_lines(&self) -> u64 {
-        self.dirty_lines()
-    }
-    fn stats(&self) -> CacheStats {
-        self.stats()
-    }
-    fn reset_stats(&mut self) {
-        self.reset_stats();
-    }
-    fn probe(&self, line: LineAddr) -> bool {
-        self.probe(line)
-    }
-    fn probe_dirty(&self, line: LineAddr) -> bool {
-        self.probe_dirty(line)
-    }
-    fn read(&mut self, line: LineAddr) -> AccessOutcome {
-        self.read(line)
-    }
-    fn write(&mut self, line: LineAddr) -> AccessOutcome {
-        self.write(line)
-    }
-    fn flush_dirty(&mut self) -> FlushOutcome {
-        self.flush_dirty()
-    }
-    fn invalidate_all(&mut self) -> InvalidateOutcome {
-        self.invalidate_all()
-    }
-    fn flush_dirty_lines(&mut self) -> Vec<LineAddr> {
-        self.flush_dirty_lines()
-    }
-    fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
-        self.invalidate_line(line)
-    }
-    fn flush_line(&mut self, line: LineAddr) -> bool {
-        self.flush_line(line)
     }
 }
 

@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use chiplet_mem::cache::{CacheGeometry, SetAssocCache, WritePolicy};
+//! use chiplet_mem::cache::{CacheCore, CacheGeometry, SetAssocCache, WritePolicy};
 //! use chiplet_mem::addr::Addr;
 //!
 //! let geom = CacheGeometry::new(8 * 1024 * 1024, 64, 32)?; // an 8 MiB GPU L2

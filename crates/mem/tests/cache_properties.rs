@@ -6,7 +6,7 @@ use chiplet_harness::prop::{check, vec_of, PropConfig};
 use chiplet_harness::rng::Xoshiro256;
 use chiplet_harness::{prop_assert, prop_assert_eq};
 use chiplet_mem::addr::{ChipletId, LineAddr};
-use chiplet_mem::cache::{CacheGeometry, SetAssocCache, WritePolicy};
+use chiplet_mem::cache::{CacheCore, CacheGeometry, SetAssocCache, WritePolicy};
 use chiplet_mem::directory::CoarseDirectory;
 
 #[derive(Debug, Clone)]

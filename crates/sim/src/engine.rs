@@ -365,8 +365,9 @@ pub(crate) fn global_cp(cfg: &SimConfig) -> Option<GlobalCp> {
 }
 
 /// Takes the queue's next round and plans each launch on its clamped
-/// binding: the schedule the engine and the coherence oracle share.
-pub(crate) fn plan_round(
+/// binding ([`effective_binding`]): the schedule the engine, the
+/// coherence oracle and `chiplet-check`'s elision oracle share.
+pub fn plan_round(
     queue: &mut SoftwareQueue,
     all_chiplets: &[ChipletId],
 ) -> Vec<(KernelPacket, DispatchPlan)> {
@@ -388,9 +389,9 @@ pub(crate) fn plan_round(
 /// back to all chiplets when the binding is absent or entirely out of
 /// range (e.g. a 4-chiplet multi-stream workload run on 2 chiplets).
 ///
-/// Public so static analysis (the elision oracle in `chiplet-check`) can
-/// reconstruct the engine's dispatch decisions exactly instead of
-/// maintaining a drifting mirror.
+/// Public so tools that replay the engine's dispatch outside
+/// [`plan_round`] (the benchmark's layer replay) clamp bindings the same
+/// way.
 pub fn effective_binding(
     packet: &KernelPacket,
     all_chiplets: &[ChipletId],

@@ -71,7 +71,8 @@ cmp results/jobs1/campaign.json results/jobs8/campaign.json
 echo "== Telemetry smoke (campaign.prom prefix, fleet trace, report --obs) =="
 # campaign.prom's deterministic section — everything above the clock-domain
 # marker — must be byte-identical across worker counts; the fleet trace
-# must be stamped wall-clock; report --obs must render from the exposition.
+# must be stamped wall-clock; report --obs must render from the exposition,
+# including the per-worker fleet table of the eight-worker run.
 awk '/non-deterministic below/{exit} {print}' \
   results/jobs1/campaign.prom > results/jobs1/campaign.det.prom
 awk '/non-deterministic below/{exit} {print}' \
@@ -80,6 +81,8 @@ cmp results/jobs1/campaign.det.prom results/jobs8/campaign.det.prom
 grep -q 'cpelide_campaign_phase_cycles' results/jobs1/campaign.prom
 grep -q '"clockDomain":"wall"' results/jobs1/campaign.trace.json
 CPELIDE_RESULTS_DIR=results/jobs1 \
+  cargo run --release -p cpelide-bench --bin report -- --obs
+CPELIDE_RESULTS_DIR=results/jobs8 \
   cargo run --release -p cpelide-bench --bin report -- --obs
 
 echo "== Docs drift gate (EXPERIMENTS.md vs committed campaign.json) =="
