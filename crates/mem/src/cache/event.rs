@@ -518,10 +518,6 @@ impl CacheCore for SetAssocCache {
         self.geom
     }
 
-    fn policy(&self) -> WritePolicy {
-        self.policy
-    }
-
     fn valid_lines(&self) -> u64 {
         self.valid_count
     }
@@ -532,10 +528,6 @@ impl CacheCore for SetAssocCache {
 
     fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     fn probe(&self, line: LineAddr) -> bool {

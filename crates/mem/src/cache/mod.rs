@@ -246,16 +246,12 @@ pub trait CacheCore: fmt::Debug + Clone {
     fn new(geom: CacheGeometry, policy: WritePolicy) -> Self;
     /// The cache's geometry.
     fn geometry(&self) -> CacheGeometry;
-    /// The cache's write policy.
-    fn policy(&self) -> WritePolicy;
     /// Number of valid lines currently resident.
     fn valid_lines(&self) -> u64;
     /// Number of dirty lines currently resident.
     fn dirty_lines(&self) -> u64;
     /// Event counters.
     fn stats(&self) -> CacheStats;
-    /// Resets the event counters (contents are preserved).
-    fn reset_stats(&mut self);
     /// True if the line is resident (does not update LRU or stats).
     fn probe(&self, line: LineAddr) -> bool;
     /// True if the line is resident and dirty.

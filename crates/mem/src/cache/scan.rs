@@ -147,10 +147,6 @@ impl CacheCore for ScanCache {
         self.geom
     }
 
-    fn policy(&self) -> WritePolicy {
-        self.policy
-    }
-
     fn valid_lines(&self) -> u64 {
         self.valid_count
     }
@@ -161,10 +157,6 @@ impl CacheCore for ScanCache {
 
     fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     fn probe(&self, line: LineAddr) -> bool {

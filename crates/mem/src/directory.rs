@@ -197,11 +197,6 @@ impl CoarseDirectory {
         self.stats
     }
 
-    /// Resets counters; contents preserved.
-    pub fn reset_stats(&mut self) {
-        self.stats = DirectoryStats::default();
-    }
-
     fn region_of(&self, line: LineAddr) -> u64 {
         line.get() / self.lines_per_entry
     }

@@ -28,11 +28,7 @@ use chiplet_mem::SetAssocCache;
 use chiplet_workloads::Workload;
 use cpelide::api::KernelLaunchInfo;
 use cpelide::cp::GlobalCp;
-
-/// Fixed per-launch overhead every configuration pays (packet processing,
-/// WG dispatch, L1 invalidation) in microseconds — the paper's 2 µs CP
-/// latency.
-const LAUNCH_OVERHEAD_US: f64 = 2.0;
+use cpelide::CP_BASE_LATENCY_US;
 
 /// The simulator.
 #[derive(Debug, Clone)]
@@ -85,7 +81,9 @@ impl Simulator {
             queue.enqueue(l.stream, l.spec.clone(), l.binding.clone());
         }
 
-        let launch_cycles = cfg.us_to_cycles(LAUNCH_OVERHEAD_US);
+        // Every configuration pays the CP's base latency per launch (packet
+        // processing, WG dispatch, L1 invalidation).
+        let launch_cycles = cfg.us_to_cycles(CP_BASE_LATENCY_US);
         let mut recorder = RunRecorder::new(launch_cycles);
         let mut emit = |event: SimEvent| {
             recorder.observe(&event);

@@ -32,12 +32,16 @@
 //!
 //! # Storage
 //!
-//! Replay visits millions of lines, so the shadow state lives in flat
-//! dense-index storage ([`chiplet_mem::flat`]): version and truth maps are
-//! [`FlatMap`]s, per-chiplet shadow L2s are epoch-versioned slabs whose
-//! acquire is a single generation bump, and first-touch homes reuse the
-//! same [`FirstTouchPlacement`] the timing model uses. The unit tests keep
-//! the original `HashMap`-backed shadow as a reference and require
+//! The datapath rules above are written once, over a per-chiplet shadow-L2
+//! store that is the only thing a [`ShadowKind`] chooses: an unbounded
+//! epoch-versioned slab whose clear is a single generation bump, or a
+//! bounded set-associative store whose evictions publish dirty versions.
+//! A bounded and an unbounded replay therefore differ in storage alone.
+//! Replay visits millions of lines, so the rest of the shadow state lives
+//! in flat dense-index storage ([`chiplet_mem::flat`]): version and truth
+//! maps are [`FlatMap`]s, and first-touch homes reuse the same
+//! [`FirstTouchPlacement`] the timing model uses. The unit tests keep the
+//! original `HashMap`-backed shadow as a reference and require
 //! byte-identical reports from it.
 
 use crate::config::SimConfig;
@@ -121,9 +125,18 @@ fn advance_truth(t: &mut (u64, u64), kernel: u64) {
     *t = (kernel, prev);
 }
 
-/// The shadow-memory operations the replay loop drives. One implementation
-/// per [`ShadowKind`], plus the unit tests' hash reference; all must agree
-/// on observable behaviour.
+/// Merges `version` into `line`'s globally visible version. Newest wins
+/// (DRF last-writer semantics).
+#[inline]
+fn publish_version(global: &mut FlatMap<LineAddr, u64>, line: LineAddr, version: u64) {
+    let g = global.get_mut(line);
+    *g = (*g).max(version);
+}
+
+/// The shadow-memory operations the replay loop drives. [`Shadow`]
+/// implements them once over either [`ShadowL2`] store; the unit tests'
+/// hash reference implements them again, and all must agree on observable
+/// behaviour.
 trait ShadowMem {
     /// Publish chiplet `c`'s dirty versions to global memory.
     fn release(&mut self, c: ChipletId);
@@ -144,174 +157,66 @@ trait ShadowMem {
 }
 
 // ---------------------------------------------------------------------------
-// Flat shadow (default): dense slabs, O(1) bulk invalidate.
+// Per-chiplet shadow L2 stores.
 // ---------------------------------------------------------------------------
 
+/// One chiplet's shadow L2: the only part of the shadow that differs
+/// between [`ShadowKind`]s. A store that evicts pushes a dirty victim's
+/// version down into `global`, as a real cache's write-back does.
+trait ShadowL2 {
+    /// The version held for `line`, if resident.
+    fn get(&mut self, line: LineAddr) -> Option<u64>;
+    /// Installs or overwrites `line`'s entry.
+    fn put(&mut self, line: LineAddr, entry: ShadowEntry, global: &mut FlatMap<LineAddr, u64>);
+    /// Drops `line`'s entry, dirty or not.
+    fn remove(&mut self, line: LineAddr);
+    /// Publishes every dirty version to `global`; the entries stay, clean.
+    fn publish(&mut self, global: &mut FlatMap<LineAddr, u64>);
+    /// Drops every entry.
+    fn clear(&mut self);
+}
+
+/// The unbounded store ([`ShadowKind::Flat`]): an epoch-versioned slab, so
+/// a clear is one generation bump, plus the lines dirtied since the last
+/// publish, so a release visits only those.
 #[derive(Debug, Default)]
 struct FlatL2 {
     slab: EpochSlab<LineAddr, ShadowEntry>,
-    /// Lines possibly dirty in the current generation; drained on release.
+    /// Lines possibly dirty in the current generation; drained on publish.
     dirty: Vec<LineAddr>,
 }
 
-/// The flat shadow memory. `global` and `truth` are total maps whose
-/// default value encodes "initial memory"; the per-chiplet L2s are
-/// epoch-versioned so an acquire drops a whole cache with one counter bump
-/// instead of a map clear.
-#[derive(Debug)]
-struct FlatShadow {
-    /// Versions visible at the shared level (L3/HBM). Default = initial (0).
-    global: FlatMap<LineAddr, u64>,
-    /// Per-chiplet shadow L2s (unbounded).
-    l2: Vec<FlatL2>,
-    /// Ground truth per line: (last writer kernel version, previous version
-    /// before this kernel). Intra-kernel accesses from different WGs are
-    /// unordered on a real GPU, so a read racing with a same-kernel write
-    /// may legally observe either value.
-    truth: FlatMap<LineAddr, (u64, u64)>,
-    /// First-touch homes — the same page table the timing model uses.
-    homes: FirstTouchPlacement,
-}
-
-impl FlatShadow {
-    fn new(chiplets: usize) -> Self {
-        FlatShadow {
-            global: FlatMap::new(0),
-            l2: (0..chiplets).map(|_| FlatL2::default()).collect(),
-            truth: FlatMap::new((0, 0)),
-            homes: FirstTouchPlacement::new(),
-        }
+impl ShadowL2 for FlatL2 {
+    fn get(&mut self, line: LineAddr) -> Option<u64> {
+        self.slab.get(line).map(|e| e.version)
     }
-}
 
-impl ShadowMem for FlatShadow {
-    fn release(&mut self, c: ChipletId) {
-        let l2 = &mut self.l2[c.index()];
-        // chiplet-check: allow(hash-iter) — `dirty` is a Vec drained in insertion order
-        for line in l2.dirty.drain(..) {
-            if let Some(e) = l2.slab.get_mut(line) {
+    fn put(&mut self, line: LineAddr, entry: ShadowEntry, _: &mut FlatMap<LineAddr, u64>) {
+        if entry.dirty && !self.slab.get(line).is_some_and(|e| e.dirty) {
+            self.dirty.push(line);
+        }
+        self.slab.insert(line, entry);
+    }
+
+    fn remove(&mut self, line: LineAddr) {
+        self.slab.remove(line);
+    }
+
+    fn publish(&mut self, global: &mut FlatMap<LineAddr, u64>) {
+        for line in self.dirty.drain(..) {
+            if let Some(e) = self.slab.get_mut(line) {
                 if e.dirty {
-                    let g = self.global.get_mut(line);
-                    // Newest version wins (DRF last-writer semantics).
-                    *g = (*g).max(e.version);
+                    publish_version(global, line, e.version);
                     e.dirty = false;
                 }
             }
         }
     }
 
-    fn acquire(&mut self, c: ChipletId) {
-        self.release(c);
-        // O(1) whole-cache invalidate: bump the slab generation.
-        self.l2[c.index()].slab.clear();
-    }
-
-    fn write(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
-        advance_truth(self.truth.get_mut(line), kernel);
-        let home = self.homes.home_of(line.page(), c);
-        if home == c {
-            // Local store: dirty in the shadow L2 (write-back).
-            let l2 = &mut self.l2[c.index()];
-            match l2.slab.get_mut(line) {
-                Some(e) => {
-                    if !e.dirty {
-                        l2.dirty.push(line);
-                    }
-                    *e = ShadowEntry {
-                        version: kernel,
-                        dirty: true,
-                    };
-                }
-                None => {
-                    l2.slab.insert(
-                        line,
-                        ShadowEntry {
-                            version: kernel,
-                            dirty: true,
-                        },
-                    );
-                    l2.dirty.push(line);
-                }
-            }
-        } else {
-            // Remote store: written through, no local copy.
-            let g = self.global.get_mut(line);
-            *g = (*g).max(kernel);
-        }
-    }
-
-    fn read(&mut self, c: ChipletId, line: LineAddr) -> u64 {
-        let home = self.homes.home_of(line.page(), c);
-        if home == c {
-            if let Some(e) = self.l2[c.index()].slab.get(line) {
-                return e.version;
-            }
-            let v = self.global.get(line);
-            // Local read fills a clean shadow copy.
-            self.l2[c.index()].slab.insert(
-                line,
-                ShadowEntry {
-                    version: v,
-                    dirty: false,
-                },
-            );
-            v
-        } else {
-            // Remote reads are forwarded to the home's LLC bank (never
-            // cached locally in the VIPER datapath).
-            self.global.get(line)
-        }
-    }
-
-    fn write_through(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
-        advance_truth(self.truth.get_mut(line), kernel);
-        let g = self.global.get_mut(line);
-        *g = (*g).max(kernel);
-        // The coarse directory invalidates every remote copy; the writer
-        // keeps a clean up-to-date copy.
-        // chiplet-check: allow(hash-iter) — iterates the outer per-chiplet Vec, in index order
-        for (i, l2) in self.l2.iter_mut().enumerate() {
-            if i == c.index() {
-                l2.slab.insert(
-                    line,
-                    ShadowEntry {
-                        version: kernel,
-                        dirty: false,
-                    },
-                );
-            } else {
-                l2.slab.remove(line);
-            }
-        }
-    }
-
-    fn read_shared(&mut self, c: ChipletId, line: LineAddr) -> u64 {
-        if let Some(e) = self.l2[c.index()].slab.get(line) {
-            return e.version;
-        }
-        let v = self.global.get(line);
-        self.l2[c.index()].slab.insert(
-            line,
-            ShadowEntry {
-                version: v,
-                dirty: false,
-            },
-        );
-        v
-    }
-
-    fn truth_of(&self, line: LineAddr) -> (u64, u64) {
-        self.truth.get(line)
-    }
-
-    fn pages_placed(&self) -> u64 {
-        self.homes.placed_pages() as u64
+    fn clear(&mut self) {
+        self.slab.clear();
     }
 }
-
-// ---------------------------------------------------------------------------
-// Bounded shadow: a set-associative L2 whose evictions publish dirty data.
-// ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
 struct BoundedWay {
@@ -321,6 +226,9 @@ struct BoundedWay {
     valid: bool,
 }
 
+/// The set-associative store ([`ShadowKind::Bounded`]): LRU replacement
+/// with a first-minimal tie-break; evicted dirty versions are published,
+/// which is exactly the monotonicity the unbounded store relies on.
 #[derive(Debug)]
 struct BoundedL2 {
     sets: usize,
@@ -353,25 +261,21 @@ impl BoundedL2 {
         let s = (line.get() % self.sets as u64) as usize * self.ways;
         s..s + self.ways
     }
+}
 
-    fn lookup(&mut self, line: LineAddr) -> Option<ShadowEntry> {
+impl ShadowL2 for BoundedL2 {
+    fn get(&mut self, line: LineAddr) -> Option<u64> {
         self.tick += 1;
         let tick = self.tick;
         let r = self.set_range(line);
-        for w in &mut self.slots[r] {
-            if w.valid && w.line == line {
-                w.lru = tick;
-                return Some(w.entry);
-            }
-        }
-        None
+        let w = self.slots[r]
+            .iter_mut()
+            .find(|w| w.valid && w.line == line)?;
+        w.lru = tick;
+        Some(w.entry.version)
     }
 
-    /// Inserts `entry`, evicting the set's LRU way if needed. Evicted
-    /// dirty versions are pushed down into `global` — a real cache's
-    /// write-back — which is exactly the monotonicity the unbounded shadow
-    /// relies on.
-    fn insert(&mut self, line: LineAddr, entry: ShadowEntry, global: &mut FlatMap<LineAddr, u64>) {
+    fn put(&mut self, line: LineAddr, entry: ShadowEntry, global: &mut FlatMap<LineAddr, u64>) {
         self.tick += 1;
         let tick = self.tick;
         let r = self.set_range(line);
@@ -392,8 +296,7 @@ impl BoundedL2 {
         }
         let w = &mut slots[victim];
         if w.valid && w.entry.dirty {
-            let g = global.get_mut(w.line);
-            *g = (*g).max(w.entry.version);
+            publish_version(global, w.line, w.entry.version);
         }
         *w = BoundedWay {
             line,
@@ -412,108 +315,118 @@ impl BoundedL2 {
         }
     }
 
-    fn drain_dirty(&mut self, global: &mut FlatMap<LineAddr, u64>) {
+    fn publish(&mut self, global: &mut FlatMap<LineAddr, u64>) {
         for w in &mut self.slots {
             if w.valid && w.entry.dirty {
-                let g = global.get_mut(w.line);
-                *g = (*g).max(w.entry.version);
+                publish_version(global, w.line, w.entry.version);
                 w.entry.dirty = false;
             }
         }
     }
 
-    fn invalidate_all(&mut self) {
+    fn clear(&mut self) {
         for w in &mut self.slots {
             w.valid = false;
         }
     }
 }
 
-/// A shadow with bounded set-associative L2s: same global/truth/homes
-/// storage as [`FlatShadow`], but per-chiplet caches that actually evict.
+// ---------------------------------------------------------------------------
+// The shadow datapath, over either store.
+// ---------------------------------------------------------------------------
+
+/// The shadow memory. `global` and `truth` are total maps whose default
+/// value encodes "initial memory"; `l2` holds one store per chiplet.
 #[derive(Debug)]
-struct BoundedShadow {
+struct Shadow<L> {
+    /// Versions visible at the shared level (L3/HBM). Default = initial (0).
     global: FlatMap<LineAddr, u64>,
-    l2: Vec<BoundedL2>,
+    /// Per-chiplet shadow L2s.
+    l2: Vec<L>,
+    /// Ground truth per line: (last writer kernel version, previous version
+    /// before this kernel). Intra-kernel accesses from different WGs are
+    /// unordered on a real GPU, so a read racing with a same-kernel write
+    /// may legally observe either value.
     truth: FlatMap<LineAddr, (u64, u64)>,
+    /// First-touch homes — the same page table the timing model uses.
     homes: FirstTouchPlacement,
 }
 
-impl BoundedShadow {
-    fn new(chiplets: usize, sets: usize, ways: usize) -> Self {
-        BoundedShadow {
+impl<L: ShadowL2> Shadow<L> {
+    fn new(chiplets: usize, store: impl FnMut() -> L) -> Self {
+        Shadow {
             global: FlatMap::new(0),
-            l2: (0..chiplets).map(|_| BoundedL2::new(sets, ways)).collect(),
+            l2: std::iter::repeat_with(store).take(chiplets).collect(),
             truth: FlatMap::new((0, 0)),
             homes: FirstTouchPlacement::new(),
         }
     }
+
+    /// A load through chiplet `c`'s L2: the resident version, or else a
+    /// clean fill from global.
+    fn load(&mut self, c: ChipletId, line: LineAddr) -> u64 {
+        let l2 = &mut self.l2[c.index()];
+        if let Some(v) = l2.get(line) {
+            return v;
+        }
+        let v = self.global.get(line);
+        let clean = ShadowEntry {
+            version: v,
+            dirty: false,
+        };
+        l2.put(line, clean, &mut self.global);
+        v
+    }
 }
 
-impl ShadowMem for BoundedShadow {
+impl<L: ShadowL2> ShadowMem for Shadow<L> {
     fn release(&mut self, c: ChipletId) {
-        self.l2[c.index()].drain_dirty(&mut self.global);
+        self.l2[c.index()].publish(&mut self.global);
     }
 
     fn acquire(&mut self, c: ChipletId) {
         self.release(c);
-        self.l2[c.index()].invalidate_all();
+        self.l2[c.index()].clear();
     }
 
     fn write(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
         advance_truth(self.truth.get_mut(line), kernel);
-        let home = self.homes.home_of(line.page(), c);
-        if home == c {
-            self.l2[c.index()].insert(
-                line,
-                ShadowEntry {
-                    version: kernel,
-                    dirty: true,
-                },
-                &mut self.global,
-            );
+        if self.homes.home_of(line.page(), c) == c {
+            // Local store: dirty in the shadow L2 (write-back).
+            let dirty = ShadowEntry {
+                version: kernel,
+                dirty: true,
+            };
+            self.l2[c.index()].put(line, dirty, &mut self.global);
         } else {
-            let g = self.global.get_mut(line);
-            *g = (*g).max(kernel);
+            // Remote store: written through, no local copy.
+            publish_version(&mut self.global, line, kernel);
         }
     }
 
     fn read(&mut self, c: ChipletId, line: LineAddr) -> u64 {
-        let home = self.homes.home_of(line.page(), c);
-        if home == c {
-            if let Some(e) = self.l2[c.index()].lookup(line) {
-                return e.version;
-            }
-            let v = self.global.get(line);
-            self.l2[c.index()].insert(
-                line,
-                ShadowEntry {
-                    version: v,
-                    dirty: false,
-                },
-                &mut self.global,
-            );
-            v
+        if self.homes.home_of(line.page(), c) == c {
+            self.load(c, line)
         } else {
+            // Remote reads are forwarded to the home's LLC bank (never
+            // cached locally in the VIPER datapath).
             self.global.get(line)
         }
     }
 
     fn write_through(&mut self, c: ChipletId, line: LineAddr, kernel: u64) {
         advance_truth(self.truth.get_mut(line), kernel);
-        let g = self.global.get_mut(line);
-        *g = (*g).max(kernel);
+        publish_version(&mut self.global, line, kernel);
+        // The coarse directory invalidates every remote copy; the writer
+        // keeps a clean up-to-date copy.
         // chiplet-check: allow(hash-iter) — iterates the outer per-chiplet Vec, in index order
         for (i, l2) in self.l2.iter_mut().enumerate() {
             if i == c.index() {
-                l2.insert(
-                    line,
-                    ShadowEntry {
-                        version: kernel,
-                        dirty: false,
-                    },
-                    &mut self.global,
-                );
+                let clean = ShadowEntry {
+                    version: kernel,
+                    dirty: false,
+                };
+                l2.put(line, clean, &mut self.global);
             } else {
                 l2.remove(line);
             }
@@ -521,19 +434,7 @@ impl ShadowMem for BoundedShadow {
     }
 
     fn read_shared(&mut self, c: ChipletId, line: LineAddr) -> u64 {
-        if let Some(e) = self.l2[c.index()].lookup(line) {
-            return e.version;
-        }
-        let v = self.global.get(line);
-        self.l2[c.index()].insert(
-            line,
-            ShadowEntry {
-                version: v,
-                dirty: false,
-            },
-            &mut self.global,
-        );
-        v
+        self.load(c, line)
     }
 
     fn truth_of(&self, line: LineAddr) -> (u64, u64) {
@@ -614,15 +515,13 @@ fn dispatch(
     let n = cfg.num_chiplets;
     match kind {
         ShadowKind::Flat => {
-            check_inner(&mut FlatShadow::new(n), workload, &cfg, sample, apply_sync)
+            let mut shadow = Shadow::new(n, FlatL2::default);
+            check_inner(&mut shadow, workload, &cfg, sample, apply_sync)
         }
-        ShadowKind::Bounded { sets, ways } => check_inner(
-            &mut BoundedShadow::new(n, sets, ways),
-            workload,
-            &cfg,
-            sample,
-            apply_sync,
-        ),
+        ShadowKind::Bounded { sets, ways } => {
+            let mut shadow = Shadow::new(n, || BoundedL2::new(sets, ways));
+            check_inner(&mut shadow, workload, &cfg, sample, apply_sync)
+        }
     }
 }
 
@@ -972,6 +871,43 @@ mod tests {
             assert_eq!(flat.writes_recorded, hash.writes_recorded, "{name}");
             assert_eq!(flat.pages_placed, hash.pages_placed, "{name}");
             assert_eq!(flat.violations, hash.violations, "{name} sync={sync}");
+        }
+    }
+
+    #[test]
+    fn bounded_shadow_that_cannot_evict_reproduces_the_flat_report() {
+        // 8192 sets of 8 ways hold every line gaussian and hotspot touch,
+        // so the bounded store never evicts and the two replays differ in
+        // storage alone, on the VIPER and the HMG datapath both.
+        let roomy = ShadowKind::Bounded {
+            sets: 8192,
+            ways: 8,
+        };
+        let replay = |w: &Workload, p: Option<ProtocolKind>, kind| match p {
+            Some(p) => check_coherence_with(w, p, 4, 7, kind),
+            None => check_never_sync_with(w, 4, 7, kind),
+        };
+        for name in ["gaussian", "hotspot"] {
+            let w = chiplet_workloads::by_name(name).unwrap();
+            for p in [
+                Some(ProtocolKind::CpElide),
+                Some(ProtocolKind::Baseline),
+                Some(ProtocolKind::Hmg),
+                Some(ProtocolKind::HmgWriteBack),
+                None,
+            ] {
+                let flat = replay(&w, p, ShadowKind::Flat);
+                let bounded = replay(&w, p, roomy);
+                assert!(flat.reads_checked > 0, "{name} {p:?}");
+                assert_eq!(p.is_none(), !flat.is_coherent(), "{name} {p:?}");
+                assert_eq!(flat.reads_checked, bounded.reads_checked, "{name} {p:?}");
+                assert_eq!(
+                    flat.writes_recorded, bounded.writes_recorded,
+                    "{name} {p:?}"
+                );
+                assert_eq!(flat.pages_placed, bounded.pages_placed, "{name} {p:?}");
+                assert_eq!(flat.violations, bounded.violations, "{name} {p:?}");
+            }
         }
     }
 
